@@ -1,9 +1,10 @@
 """Local-unitary equivalence of pure tripartite quantum states.
 
-The package computes spectral invariants of single-cut reductions, builds
-SVD-based equivalence certificates, factors bridge unitaries into Kronecker
-products through matrix realignment, and combines the three cuts into a
-sound decision procedure with verifiable certificates.
+The package computes spectral invariants of single-cut reductions, settles
+generic pairs from each state's eigenbases of its one-party reductions,
+builds SVD-based equivalence certificates for the rest, factors bridge
+unitaries into Kronecker products through matrix realignment, and combines
+all of it into a sound decision procedure with verifiable certificates.
 """
 
 from .equivalence import (

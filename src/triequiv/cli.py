@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -220,7 +219,8 @@ def _decision_text(decision: TripartiteDecision, inputs: tuple[str, str]) -> str
     return "\n".join(lines)
 
 
-def _run_pair(pair, args, tols) -> tuple[str, dict, int]:
+def _run_pair(pair, args, tols) -> tuple[str | dict, int]:
+    """One pair's JSON report (under ``--json``) or text, and its exit code."""
     first_path, second_path = pair
     state = load_state(first_path, strict=args.strict)
     other = load_state(second_path, strict=args.strict)
@@ -235,11 +235,12 @@ def _run_pair(pair, args, tols) -> tuple[str, dict, int]:
         seed=args.seed,
     )
     elapsed = time.perf_counter() - start
-    report = _decision_report(
-        decision, state, other, tols, elapsed, (str(first_path), str(second_path))
-    )
-    text = _decision_text(decision, (str(first_path), str(second_path)))
-    return text, report, _EXIT_FOR_VERDICT[decision.verdict]
+    inputs = (str(first_path), str(second_path))
+    if args.json:
+        output = _decision_report(decision, state, other, tols, elapsed, inputs)
+    else:
+        output = _decision_text(decision, inputs)
+    return output, _EXIT_FOR_VERDICT[decision.verdict]
 
 
 def _cmd_check(args) -> int:
@@ -248,23 +249,16 @@ def _cmd_check(args) -> int:
         raise UsageError("check expects an even number of state paths (pairs)")
     pairs = [(paths[i], paths[i + 1]) for i in range(0, len(paths), 2)]
     tols = _tolerances(args)
+    results = [_run_pair(pair, args, tols) for pair in pairs]
+    outputs = [output for output, _ in results]
 
-    if args.jobs > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda p: _run_pair(p, args, tols), pairs))
+    if not args.json:
+        print("\n".join(outputs))
+    elif len(outputs) == 1:
+        sys.stdout.write(report_to_json(outputs[0]))
     else:
-        results = [_run_pair(pair, args, tols) for pair in pairs]
-
-    if args.json:
-        reports = [report for _, report, _ in results]
-        if len(reports) == 1:
-            sys.stdout.write(report_to_json(reports[0]))
-        else:
-            sys.stdout.write(json.dumps(reports, indent=2, sort_keys=True) + "\n")
-    else:
-        for text, _, _ in results:
-            print(text)
-    return max(code for _, _, code in results)
+        sys.stdout.write(json.dumps(outputs, indent=2, sort_keys=True) + "\n")
+    return max(code for _, code in results)
 
 
 # ----------------------------------------------------------------- factorize
@@ -398,9 +392,6 @@ def build_parser() -> _Parser:
     p_check.add_argument("--strict", action="store_true", help="reject off-norm input")
     p_check.add_argument("--json", action="store_true", help="emit JSON reports")
     p_check.add_argument("--seed", type=int, default=0, help="gauge search seed")
-    p_check.add_argument(
-        "--jobs", type=int, default=1, help="check pairs concurrently"
-    )
     p_check.set_defaults(func=_cmd_check)
 
     p_fac = sub.add_parser(

@@ -1,14 +1,14 @@
-"""Bipartite SVD certificates and the three-cut equivalence decision.
+"""The three-party equivalence decision, with certificates and witnesses.
 
-Two states sharing a cut's singular spectrum are always related by a pair
-of unitaries acting on the cut's row and column spaces.  The pair is only
-determined up to the gauge freedom of the two SVDs (per-vector phases,
-rotations inside degenerate singular subspaces, and an arbitrary action on
-the column null space), and whether the column-side unitary splits as a
-Kronecker product over the remaining two subsystems depends on that gauge.
-``gauge_search`` walks the gauge orbit looking for a decomposable
-representative; every positive verdict is re-verified against the raw
-amplitude tensors before being reported.
+Each state is first put into its frame: the eigenbases of its three one-party
+reductions and the core tensor in those bases (the higher-order SVD).  With
+nondegenerate reductions a local unitary map only rephases each basis vector,
+so two frames settle a generic pair in closed form.  Degenerate pairs go one
+cut at a time: two states sharing a cut's singular spectrum are related by
+unitaries on the cut's row and column spaces, fixed only up to the SVD gauge,
+and ``gauge_search`` walks that gauge orbit for a column unitary that splits
+as a Kronecker product over the other two subsystems.  Every positive
+verdict is re-verified against the raw amplitude tensors.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ _ZERO_SV = 1e-12
 _STOP_DEFECT = 1e-12
 #: Gauge search restarts after this many iterations without a 0.1% improvement.
 _STALL_WINDOW = 15
-#: Eigenvalue gaps below this make the closed-form alignment unreliable.
+#: Reduction eigenvalue gaps below this make a state's frame unreliable.
 _EIG_GAP = 1e-6
 #: Default total gauge-search iteration budget.
 DEFAULT_GAUGE_BUDGET = 1000
@@ -133,6 +133,17 @@ class CutAttempt:
 
     cut: Cut
     defect: float
+
+
+@dataclass(frozen=True)
+class StateFrame:
+    """Eigenbases of the three one-party reductions and the core tensor in them.
+
+    ``bases[p]`` holds party p's eigenvectors as columns, eigenvalues descending.
+    """
+
+    bases: tuple[np.ndarray, np.ndarray, np.ndarray]
+    core: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -339,16 +350,6 @@ def _procrustes_unitary(target: np.ndarray, source: np.ndarray) -> np.ndarray:
     return _polar_unitary(target @ source.conj().T)
 
 
-def _eig_descending(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Eigenvalues/vectors of a Hermitian matrix, descending; None if degenerate."""
-    vals, vecs = np.linalg.eigh(h)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    if vals.size > 1 and np.min(np.diff(vals[::-1])) < _EIG_GAP:
-        return None
-    return vals, vecs
-
-
 def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple | None:
     """Factor chi[s,p,q] = beta_s * phi_p * psi_q over significant entries.
 
@@ -407,81 +408,13 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple | None:
     return beta, phi, psi
 
 
-def _aligned_bridge(
-    a: np.ndarray, b: np.ndarray, m: int, n: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Closed-form decomposable bridge candidate from eigenbasis alignment.
-
-    Reshapes each column-side singular vector of ``a`` and ``b`` into an
-    m x n matrix W_s; if the two states are related by local unitaries the
-    primed family satisfies W'_s = e^{i beta_s} X W_s Y^t.  The factor
-    candidates come from aligning the eigenbases of the weighted Gram
-    operators sum sigma^2 W W† (left) and its right-side analogue, which
-    leaves only diagonal phases; those are recovered entrywise.  Returns
-    unitary (X, Y) or None when spectra are too degenerate to align.
-    """
-    _, sa, vha = np.linalg.svd(a)
-    _, _, vhb = np.linalg.svd(b)
-    rank = int(np.count_nonzero(sa > _ZERO_SV))
-    if rank == 0:
-        return None
-    w_fam = vha[:rank].reshape(rank, m, n)
-    w_fam_p = vhb[:rank].reshape(rank, m, n)
-    weights = sa[:rank] ** 2
-
-    left = np.einsum("s,spq,srq->pr", weights, w_fam, w_fam.conj())
-    left_p = np.einsum("s,spq,srq->pr", weights, w_fam_p, w_fam_p.conj())
-    right = np.einsum("s,spq,spr->qr", weights, w_fam.conj(), w_fam).conj()
-    right_p = np.einsum("s,spq,spr->qr", weights, w_fam_p.conj(), w_fam_p).conj()
-
-    eig_l = _eig_descending(left)
-    eig_lp = _eig_descending(left_p)
-    eig_r = _eig_descending(right)
-    eig_rp = _eig_descending(right_p)
-    if eig_l is None or eig_lp is None or eig_r is None or eig_rp is None:
-        return None
-    if (
-        np.max(np.abs(eig_l[0] - eig_lp[0])) > 1e-7
-        or np.max(np.abs(eig_r[0] - eig_rp[0])) > 1e-7
-    ):
-        return None
-    eb, eb_p = eig_l[1], eig_lp[1]
-    ec, ec_p = eig_r[1], eig_rp[1]
-
-    g = np.einsum("pi,spq,qj->sij", eb.conj(), w_fam, ec.conj())
-    g_p = np.einsum("pi,spq,qj->sij", eb_p.conj(), w_fam_p, ec_p.conj())
-    magnitude = np.abs(g)
-    if np.max(np.abs(magnitude - np.abs(g_p))) > 1e-6:
-        return None
-
-    safe = np.where(magnitude > 0, g, 1.0)
-    chi = np.where(magnitude > 0, g_p / safe, 1.0)
-    chi = chi / np.maximum(np.abs(chi), 1e-300)
-    solved = _solve_phase_product(chi, magnitude)
-    if solved is None:
-        return None
-    _, phi, psi = solved
-    x = eb_p @ np.diag(phi) @ eb.conj().T
-    y = ec_p @ np.diag(psi) @ ec.conj().T
-
-    # Transport check: each conditional matrix must map up to a phase.
-    for s in range(rank):
-        t = x @ w_fam[s] @ y.T
-        z = np.vdot(t, w_fam_p[s])
-        phase = z / abs(z) if abs(z) > 0 else 1.0
-        if np.linalg.norm(w_fam_p[s] - phase * t) > 1e-7:
-            return None
-    return x, y
-
-
 def _certify(
     state: TripartiteState,
     other: TripartiteState,
     cut: Cut,
-    a: np.ndarray,
-    b: np.ndarray,
     u_left: np.ndarray,
     u_right: np.ndarray,
+    defect: float,
     tols: Tolerances,
 ) -> TripartiteDecision | None:
     """Assemble and verify local factors from bridge factors, or None.
@@ -489,13 +422,15 @@ def _certify(
     The factors are snapped to exact unitaries, the row-side unitary is
     recomputed by Procrustes, and the verdict stands only if applying the
     three local unitaries to the raw amplitude tensor reproduces the second
-    state within the reconstruction tolerance.
+    state within the reconstruction tolerance.  ``defect`` is the Kronecker
+    defect of the factorisation the bridge factors came from.
     """
-    m, n = bridge_split(cut, state.dims)
     u_left = _polar_unitary(u_left)
     u_right = _polar_unitary(u_right)
     v_bridge = np.kron(u_left, u_right)
-    u_bridge = _procrustes_unitary(b, a @ v_bridge.T)
+    u_bridge = _procrustes_unitary(
+        matricize(other, cut), matricize(state, cut) @ v_bridge.T
+    )
 
     if cut is Cut.A:
         factors = (u_bridge, u_left, u_right)
@@ -508,35 +443,76 @@ def _certify(
     residual = float(np.linalg.norm(mapped.amplitudes - other.amplitudes))
     if residual > tols.reconstruction:
         return None
-    certified_defect = kron_factorize(v_bridge, m, n, tols.rank_one).defect
     return TripartiteDecision(
         verdict=VERDICT_FOR_CUT[cut],
         local_factors=factors,
-        bridge=Bridge(cut=cut, u=u_bridge, v=v_bridge, defect=certified_defect),
+        bridge=Bridge(cut=cut, u=u_bridge, v=v_bridge, defect=defect),
         residual=residual,
-        attempts=(CutAttempt(cut=cut, defect=certified_defect),),
+        attempts=(CutAttempt(cut=cut, defect=defect),),
     )
 
 
-def check_di(
+def _state_frame(state: TripartiteState) -> StateFrame | None:
+    """Frame of ``state``, or None when a reduction is degenerate on its support.
+
+    Each eigenvalue above ``_EIG_GAP`` must lie at least ``_EIG_GAP`` above
+    the next one.  Eigenvalues below it may cluster: the state has (almost)
+    no weight there, so how those basis vectors pair up does not matter.
+    """
+    bases = []
+    for cut in Cut:
+        a = matricize(state, cut)
+        vals, vecs = np.linalg.eigh(a @ a.conj().T)
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        if np.any((vals[:-1] > _EIG_GAP) & (vals[:-1] - vals[1:] < _EIG_GAP)):
+            return None
+        bases.append(vecs)
+    core = np.einsum(
+        "ia,jb,kc,ijk->abc",
+        *(e.conj() for e in bases),
+        state.amplitudes,
+        optimize=True,
+    )
+    return StateFrame(bases=tuple(bases), core=core)
+
+
+def _frame_decision(
+    state: TripartiteState, other: TripartiteState, cut: Cut, tols: Tolerances
+) -> TripartiteDecision | None:
+    """Equivalence certified from the two states' frames, or None.
+
+    With nondegenerate reductions a local unitary map sends each frame basis
+    vector to its partner up to a phase, so ``core'/core`` factors into
+    per-party phases and U_p = E'_p diag(phase_p) E_p^dagger.  The result is
+    certified under ``cut``: its row unitary comes from Procrustes, and its
+    bridge is the Kronecker product of the other two factors by
+    construction, hence defect 0.
+    """
+    first, second = _state_frame(state), _state_frame(other)
+    if first is None or second is None:
+        return None
+    chi = second.core * first.core.conj()
+    chi = chi / np.maximum(np.abs(chi), 1e-300)
+    phases = _solve_phase_product(chi, np.abs(first.core))
+    if phases is None:
+        return None
+    factors = [
+        e_p @ (phase[:, None] * e.conj().T)
+        for e, e_p, phase in zip(first.bases, second.bases, phases)
+    ]
+    u_left, u_right = (u for u, party in zip(factors, Cut) if party is not cut)
+    return _certify(state, other, cut, u_left, u_right, 0.0, tols)
+
+
+def _cut_decision(
     state: TripartiteState,
     other: TripartiteState,
     cut: Cut,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-    gauge_budget: int = DEFAULT_GAUGE_BUDGET,
-    seed: int = 0,
+    tols: Tolerances,
+    gauge_budget: int,
+    seed: int,
 ) -> TripartiteDecision:
-    """Test equivalence through one cut's bipartite certificate.
-
-    Compares the cut's singular spectra, builds the certificate pair, and
-    tries to factor its column unitary over the remaining two subsystems
-    (directly, then via :func:`gauge_search`).  A factored bridge is turned
-    into three local unitaries and verified against the raw amplitude
-    tensors; only then is an equivalence verdict returned.  A failed search
-    yields ``INCONCLUSIVE`` - never a claim of inequivalence.
-    """
-    if state.dims != other.dims:
-        raise ValueError(f"dimension mismatch: {state.dims} vs {other.dims}")
+    """The per-cut test: SVD certificate, direct split, then gauge search."""
     a = matricize(state, cut)
     b = matricize(other, cut)
     try:
@@ -554,20 +530,10 @@ def check_di(
     f = is_unitarily_decomposable(
         res.v, m, n, tols.rank_one, tols.unitarity, tols.reconstruction
     )
-    if not f.decomposable:
-        # Closed-form gauge fix first: exact whenever the pair-side Gram
-        # operators are nondegenerate, which is the generic situation.
-        aligned = _aligned_bridge(a, b, m, n)
-        if aligned is not None:
-            decision = _certify(state, other, cut, a, b, *aligned, tols)
-            if decision is not None:
-                return decision
-        if gauge_budget > 0:
-            f = gauge_search(
-                res.v, m, n, gauge_budget, tols, gauge=res.gauge, seed=seed
-            )
+    if not f.decomposable and gauge_budget > 0:
+        f = gauge_search(res.v, m, n, gauge_budget, tols, gauge=res.gauge, seed=seed)
     if f.defect <= tols.rank_one:
-        decision = _certify(state, other, cut, a, b, *f.unitary_factors(), tols)
+        decision = _certify(state, other, cut, *f.unitary_factors(), f.defect, tols)
         if decision is not None:
             return decision
     return TripartiteDecision(
@@ -575,6 +541,30 @@ def check_di(
         bridge=Bridge(cut=cut, u=res.u, v=res.v, defect=f.defect),
         attempts=(CutAttempt(cut=cut, defect=f.defect),),
     )
+
+
+def check_di(
+    state: TripartiteState,
+    other: TripartiteState,
+    cut: Cut,
+    tols: Tolerances = DEFAULT_TOLERANCES,
+    gauge_budget: int = DEFAULT_GAUGE_BUDGET,
+    seed: int = 0,
+) -> TripartiteDecision:
+    """Test equivalence through one cut.
+
+    Generic pairs are settled from the two states' frames and reported under
+    ``cut``; other pairs get the cut's spectra comparison, SVD certificate,
+    direct split and :func:`gauge_search`.  An equivalence verdict is only
+    returned after verification against the raw amplitude tensors; a failed
+    search yields ``INCONCLUSIVE`` - never a claim of inequivalence.
+    """
+    if state.dims != other.dims:
+        raise ValueError(f"dimension mismatch: {state.dims} vs {other.dims}")
+    decision = _frame_decision(state, other, cut, tols)
+    if decision is None:
+        decision = _cut_decision(state, other, cut, tols, gauge_budget, seed)
+    return decision
 
 
 def decide_equivalence(
@@ -585,19 +575,24 @@ def decide_equivalence(
     gauge_budget: int = DEFAULT_GAUGE_BUDGET,
     seed: int = 0,
 ) -> TripartiteDecision:
-    """Full decision: spectra on all three cuts, then the cut cascade.
+    """Full decision: spectra on all three cuts, the frames, then the cut cascade.
 
     Any cut with differing singular spectra proves inequivalence outright, so
-    all three spectra are compared before any certificate work.  Otherwise
-    the cuts are tried in ``order`` (default A, B, C) and the first verified
-    equivalence is returned; if every cut stays undecided the verdict is
-    ``INCONCLUSIVE`` with the lowest-defect bridge kept for diagnostics.
+    the spectra of cuts A, B and C are compared before anything else,
+    whatever ``order`` says.  Next the two states' frames are compared once;
+    a generic pair is settled there and reported under the first cut of
+    ``order``.  Otherwise the per-cut test runs on the cuts in ``order``
+    (default A, B, C) and the first verified equivalence is returned; if
+    every cut stays undecided the verdict is ``INCONCLUSIVE`` with the
+    lowest-defect bridge kept for diagnostics.
     """
     if state.dims != other.dims:
         raise ValueError(f"dimension mismatch: {state.dims} vs {other.dims}")
-    cuts = tuple(order) if order is not None else (Cut.A, Cut.B, Cut.C)
+    cuts = tuple(order) if order is not None else tuple(Cut)
+    if not cuts:
+        raise ValueError("order must name at least one cut")
 
-    for cut in cuts:
+    for cut in Cut:
         sa = singular_spectrum(state, cut)
         sb = singular_spectrum(other, cut)
         deviation = np.abs(sa - sb)
@@ -610,10 +605,13 @@ def decide_equivalence(
                 ),
             )
 
+    decision = _frame_decision(state, other, cuts[0], tols)
+    if decision is not None:
+        return decision
     attempts: list[CutAttempt] = []
     best_bridge: Bridge | None = None
     for cut in cuts:
-        decision = check_di(state, other, cut, tols, gauge_budget, seed)
+        decision = _cut_decision(state, other, cut, tols, gauge_budget, seed)
         attempts.extend(decision.attempts)
         if decision.verdict in EQUIVALENT_VERDICTS:
             return dataclasses.replace(decision, attempts=tuple(attempts))

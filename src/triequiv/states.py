@@ -114,7 +114,9 @@ def apply_local_unitaries(
     """Apply the product unitary u1 (x) u2 (x) u3 to the state.
 
     Each factor must be square of the matching subsystem dimension and
-    unitary within ``unitarity_tol``; anything else is rejected.
+    unitary within ``unitarity_tol``; anything else is rejected.  The result
+    is renormalized, since factors that pass the unitarity check may still
+    scale the norm by more than ``NORM_TOL``.
     """
     factors = (u1, u2, u3)
     for pos, (mat, dim) in enumerate(zip(factors, state.dims), start=1):
@@ -129,7 +131,7 @@ def apply_local_unitaries(
                 f"factor {pos} is not unitary (defect {defect:.3e} > {unitarity_tol})"
             )
     out = np.einsum("ia,jb,kc,abc->ijk", u1, u2, u3, state.amplitudes, optimize=True)
-    return TripartiteState(out)
+    return TripartiteState.from_unnormalized(out)
 
 
 def random_state(dims: tuple[int, int, int], seed=None) -> TripartiteState:

@@ -90,9 +90,7 @@ class TestCheckCommand:
         p2 = tmp_path / "g.state"
         p1.write_text(serialize_state(basis_state((2, 2, 2), (0, 0, 0))))
         p2.write_text(serialize_state(ghz_state()))
-        code = main(
-            ["check", *golden_files, str(p1), str(p2), "--jobs", "2", "--json"]
-        )
+        code = main(["check", *golden_files, str(p1), str(p2), "--json"])
         assert code == 1  # worst verdict across pairs
         reports = json.loads(capsys.readouterr().out)
         assert [r["verdict"] for r in reports] == ["equivalent-d1", "invariants-differ"]

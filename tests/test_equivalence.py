@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from triequiv import equivalence
 from triequiv.equivalence import (
+    EQUIVALENT_VERDICTS,
     CertificateError,
     SpectraMismatch,
     Verdict,
@@ -209,6 +213,35 @@ class TestDecideEquivalence:
             )
             assert (forward.verdict in equivalent) == (backward.verdict in equivalent)
 
+    def test_spectra_checked_on_every_cut_whatever_the_order(self):
+        # Cut A's spectra agree; only cut B's prove the pair inequivalent.
+        first, _ = golden_pair_222()
+        decision = decide_equivalence(first, ghz_state(), order=(Cut.A,))
+        assert decision.verdict is Verdict.INVARIANTS_DIFFER
+        assert decision.witness.cut is Cut.B
+
+    def test_empty_order_rejected(self):
+        state, rotated, _ = _lu_pair((2, 2, 2), 0)
+        with pytest.raises(ValueError, match="order"):
+            decide_equivalence(state, rotated, order=())
+
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (5, 2, 2), (1, 3, 4)])
+    def test_generic_pairs_decided_from_frames_alone(self, dims, monkeypatch):
+        # (5, 2, 2) has a rank-deficient first reduction, (1, 3, 4) a trivial one.
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-cut machinery used on a generic pair")
+
+        for name in ("bipartite_equivalent", "kron_factorize", "gauge_search"):
+            monkeypatch.setattr(equivalence, name, refuse)
+        for trial in range(3):
+            state, rotated, _ = _lu_pair(dims, trial)
+            decision = decide_equivalence(state, rotated)
+            assert decision.verdict is Verdict.EQUIVALENT_D1
+            assert decision.bridge.defect == 0.0
+            mapped = kron_apply(*decision.local_factors, state)
+            assert np.linalg.norm(mapped - rotated.amplitudes.reshape(-1)) <= 1e-9
+            assert check_di(state, rotated, Cut.B).verdict is Verdict.EQUIVALENT_D2
+
     def test_custom_cut_order(self):
         state, rotated, _ = _lu_pair((2, 2, 2), 0)
         decision = decide_equivalence(state, rotated, order=(Cut.C, Cut.B, Cut.A))
@@ -258,6 +291,36 @@ class TestDecideEquivalence:
         decision = decide_equivalence(state, rotated)
         assert decision.attempts
         assert decision.attempts[-1].defect <= 1e-8
+
+
+def _verdict_class(decision):
+    if decision.verdict in EQUIVALENT_VERDICTS:
+        return "equivalent"
+    return decision.verdict.value
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    trial=st.integers(0, 2**16),
+)
+def test_lu_rotated_pairs_are_never_refuted(dims, trial):
+    state, rotated, _ = _lu_pair(dims, trial)
+    forward = decide_equivalence(state, rotated)
+    backward = decide_equivalence(rotated, state)
+    for decision, first, second in (
+        (forward, state, rotated),
+        (backward, rotated, state),
+    ):
+        assert decision.verdict is not Verdict.INVARIANTS_DIFFER
+        if decision.verdict in EQUIVALENT_VERDICTS:
+            for u in decision.local_factors:
+                assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-10
+            mapped = np.einsum(
+                "ia,jb,kc,abc->ijk", *decision.local_factors, first.amplitudes
+            )
+            assert np.linalg.norm(mapped - second.amplitudes) <= 1e-9
+    assert _verdict_class(forward) == _verdict_class(backward)
 
 
 class TestBridgeSplit:

@@ -147,6 +147,16 @@ class TestApplyLocalUnitaries:
         )
         assert abs(np.linalg.norm(rotated.amplitudes) - 1.0) <= 1e-12
 
+    def test_renormalizes_within_unitarity_tolerance(self):
+        # A factor 8e-11 from unitary passes the 1e-10 unitarity check but
+        # scales the squared norm by 1 + 8e-11, past the 1e-12 norm check.
+        for seed in range(50):
+            state = random_state((2, 3, 4), seed=seed)
+            u = random_unitary(2, seed=1000 + seed) * (1 + 4e-11)
+            assert 7e-11 < unitarity_defect(u) <= 1e-10
+            out = apply_local_unitaries(state, u, np.eye(3), np.eye(4))
+            assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
+
     def test_golden_223_printed_map(self):
         from util import golden_bridge_223
         from triequiv.realign import is_unitarily_decomposable
