@@ -34,6 +34,10 @@ _STOP_DEFECT = 1e-12
 _STALL_WINDOW = 15
 #: Reduction eigenvalue gaps below this make a state's frame unreliable.
 _EIG_GAP = 1e-6
+#: Core entries weaker than this fraction of the strongest carry noise phases.
+_PHASE_CUTOFF = 1e-3
+#: A phase product off its core entry ratio by more than this is inconsistent.
+_PHASE_TOL = 1e-6
 #: Default total gauge-search iteration budget.
 DEFAULT_GAUGE_BUDGET = 1000
 
@@ -354,58 +358,46 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple | None:
     """Factor chi[s,p,q] = beta_s * phi_p * psi_q over significant entries.
 
     ``chi`` holds unit complex numbers; entries whose ``weight`` falls below
-    a relative cutoff are ignored (their phases are noise).  Assignments are
-    found by flood fill; disconnected components carry free gauge, so fresh
-    anchors are legitimate.  Returns (beta, phi, psi) or None on inconsistency.
+    ``_PHASE_CUTOFF`` times the largest weight are ignored (their phases are
+    noise).  Each sweep assigns every unknown factor that some entry with
+    exactly one unknown determines, from the strongest such entry.  When no
+    entry has exactly one unknown, the strongest entry with two or more sets
+    its beta_s to 1, and its phi_p too when psi_q is unknown: disconnected
+    parts carry free gauge.  Returns (beta, phi, psi) or None on
+    inconsistency.
     """
     r, m, n = chi.shape
-    cutoff = 1e-3 * float(weight.max())
-    entries = [
-        (s, p, q)
-        for s in range(r)
-        for p in range(m)
-        for q in range(n)
-        if weight[s, p, q] > cutoff
-    ]
-    beta: list = [None] * r
-    phi: list = [None] * m
-    psi: list = [None] * n
-
-    unresolved = list(entries)
-    while unresolved:
-        progress = False
-        pending = []
-        for s, p, q in unresolved:
-            missing = (beta[s] is None) + (phi[p] is None) + (psi[q] is None)
-            if missing == 0:
-                continue
-            if missing == 1:
-                if beta[s] is None:
-                    beta[s] = chi[s, p, q] / (phi[p] * psi[q])
-                elif phi[p] is None:
-                    phi[p] = chi[s, p, q] / (beta[s] * psi[q])
-                else:
-                    psi[q] = chi[s, p, q] / (beta[s] * phi[p])
-                progress = True
-            else:
-                pending.append((s, p, q))
-        if not progress:
-            if not pending:
-                break
-            s, p, q = max(pending, key=lambda e: weight[e])
-            if beta[s] is None:
-                beta[s] = 1.0 + 0j
-            if phi[p] is None and psi[q] is None:
-                phi[p] = 1.0 + 0j
-        unresolved = pending
-
-    beta = np.array([1.0 + 0j if z is None else z for z in beta])
-    phi = np.array([1.0 + 0j if z is None else z for z in phi])
-    psi = np.array([1.0 + 0j if z is None else z for z in psi])
-    for s, p, q in entries:
-        if abs(chi[s, p, q] - beta[s] * phi[p] * psi[q]) > 1e-6:
-            return None
-    return beta, phi, psi
+    significant = weight > _PHASE_CUTOFF * float(weight.max())
+    s, p, q = np.nonzero(significant)
+    strongest = np.argsort(-weight[s, p, q], kind="stable")
+    # One node per factor: beta_s is node s, phi_p node r + p, psi_q node r + m + q.
+    nodes = np.stack((s, r + p, r + m + q))[:, strongest]
+    target = chi[s, p, q][strongest]
+    value = np.ones(r + m + n, dtype=np.complex128)
+    known = np.zeros(r + m + n, dtype=bool)
+    while True:
+        unknown = ~known[nodes]
+        missing = unknown.sum(axis=0)
+        single = np.flatnonzero(missing == 1)
+        if single.size:
+            rows = np.argmax(unknown[:, single], axis=0)
+            free, first = np.unique(nodes[rows, single], return_index=True)
+            entries = single[first]
+            others = np.where(unknown[:, entries], 1.0, value[nodes[:, entries]])
+            value[free] = target[entries] / others.prod(axis=0)
+            known[free] = True
+            continue
+        open_entries = np.flatnonzero(missing)
+        if not open_entries.size:
+            break
+        beta_node, phi_node, psi_node = nodes[:, open_entries[0]]
+        known[beta_node] = True
+        if not known[psi_node]:
+            known[phi_node] = True
+    product = value[nodes[0]] * value[nodes[1]] * value[nodes[2]]
+    if np.any(np.abs(target - product) > _PHASE_TOL):
+        return None
+    return value[:r], value[r : r + m], value[r + m :]
 
 
 def _certify(

@@ -11,13 +11,15 @@ line, then one record per amplitude with 1-based indices::
 
 Unlisted entries are zero.  Matrix files are identical except that records
 carry two indices (``dims: R C`` and ``row col re im``).  Values are written
-with 17 significant digits, which round-trips IEEE doubles exactly.
+with 17 significant digits, which round-trips IEEE doubles exactly; values
+that are not finite are rejected.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -38,71 +40,144 @@ def _fmt(value: float) -> str:
 
 
 def _scan(text: str, source: str, index_count: int):
-    """Yield (label, dims, records) from a document; records keep line numbers."""
-    label = None
+    """Read a document into its amplitude array.
+
+    Every line is split into fields in bulk; only the few lines holding a
+    colon can be ``label:`` or ``dims:`` headers, and only those are read one
+    by one.  :func:`_convert` turns the record fields into arrays and
+    :func:`_fill` checks and scatters them.  Faults are reported in line
+    order, except that range and duplicate checks follow every other check,
+    so a record that does not convert wins over a later misplaced header.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    fields = list(map(str.split, lines))
+    headers = [
+        row
+        for row, line in enumerate(lines)
+        if ":" in line and fields[row][0].startswith(("label:", "dims:"))
+    ]
+    has_label = False
     dims = None
-    records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    dims_row = fault_row = len(lines)
+    fault = None
+    for row in headers:
+        line = lines[row].strip()
+        lineno = row + 1
         if line.startswith("label:"):
-            if label is not None:
-                raise StateFormatError(f"{source}:{lineno}: duplicate label line")
-            label = line[len("label:"):].strip()
-            continue
-        if line.startswith("dims:"):
-            if dims is not None:
-                raise StateFormatError(f"{source}:{lineno}: duplicate dims line")
-            tokens = line[len("dims:"):].split()
-            if len(tokens) != index_count:
-                raise StateFormatError(
-                    f"{source}:{lineno}: dims needs {index_count} integers, "
-                    f"got {len(tokens)}"
-                )
+            if has_label:
+                fault = f"{source}:{lineno}: duplicate label line"
+            has_label = True
+        elif dims is not None:
+            fault = f"{source}:{lineno}: duplicate dims line"
+        elif len(tokens := line[len("dims:"):].split()) != index_count:
+            fault = (
+                f"{source}:{lineno}: dims needs {index_count} integers, "
+                f"got {len(tokens)}"
+            )
+        else:
             try:
                 dims = tuple(int(t) for t in tokens)
             except ValueError as exc:
-                raise StateFormatError(f"{source}:{lineno}: bad dims: {exc}") from None
-            if min(dims) < 1:
-                raise StateFormatError(f"{source}:{lineno}: dims must be positive")
-            continue
-        if dims is None:
-            raise StateFormatError(
-                f"{source}:{lineno}: record appears before the dims line"
-            )
-        tokens = line.split()
-        if len(tokens) != index_count + 2:
-            raise StateFormatError(
-                f"{source}:{lineno}: expected {index_count} indices plus re im, "
-                f"got {len(tokens)} fields"
-            )
-        try:
-            idx = tuple(int(t) for t in tokens[:index_count])
-            re_part = float(tokens[index_count])
-            im_part = float(tokens[index_count + 1])
-        except ValueError as exc:
-            raise StateFormatError(f"{source}:{lineno}: bad record: {exc}") from None
-        records.append((lineno, idx, complex(re_part, im_part)))
+                fault = f"{source}:{lineno}: bad dims: {exc}"
+            else:
+                dims_row = row
+                if min(dims) < 1:
+                    fault = f"{source}:{lineno}: dims must be positive"
+        if fault is not None:
+            fault_row = row
+            break
+    for row in headers:
+        fields[row] = []
+    before = fields[:fault_row]
+    records = list(filter(None, before))
+    linenos = np.flatnonzero(np.fromiter(map(len, before), dtype=np.intp)) + 1
+    if records and linenos[0] - 1 < dims_row:
+        raise StateFormatError(
+            f"{source}:{linenos[0]}: record appears before the dims line"
+        )
+    indices, values = _convert(records, linenos, source, index_count)
+    if fault is not None:
+        raise StateFormatError(fault)
     if dims is None:
         raise StateFormatError(f"{source}: missing dims line")
-    return label, dims, records
+    return _fill(dims, indices, values, linenos, source)
 
 
-def _fill(dims, records, source: str) -> np.ndarray:
+def _convert(fields, linenos, source: str, index_count: int):
+    """Record fields as (indices, values), or an error naming the first bad line.
+
+    ``indices`` is an (index_count, records) array of the 1-based indices,
+    not yet checked against the dims.  The fields are converted column by
+    column with ``int`` and ``float``; only when that fails, or gives a value
+    that is not finite, does a walk over the records find the first bad one.
+    """
+    width = index_count + 2
+    lengths = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
+    wrong = np.flatnonzero(lengths != width)
+    if wrong.size:
+        first = int(wrong[0])
+        _convert(fields[:first], linenos[:first], source, index_count)
+        raise StateFormatError(
+            f"{source}:{linenos[first]}: expected {index_count} indices plus re im, "
+            f"got {lengths[first]} fields"
+        )
+    flat = list(chain.from_iterable(fields))
+    columns = [flat[c::width] for c in range(index_count)]
+    parts = np.empty((len(fields), 2))
+    try:
+        try:
+            indices = np.array(columns, dtype=np.int64)  # int() on each token
+        except OverflowError:
+            # Indices beyond int64 are out of range; keep them as Python ints.
+            indices = np.array([list(map(int, column)) for column in columns])
+        parts[:, 0] = list(map(float, flat[index_count::width]))
+        parts[:, 1] = list(map(float, flat[index_count + 1 :: width]))
+    except ValueError:
+        parts[:] = np.nan  # the walk below names the record
+    if np.isfinite(parts).all():
+        return indices, parts.view(np.complex128)[:, 0]
+    for lineno, tokens in zip(linenos, fields):
+        try:
+            for token in tokens[:index_count]:
+                int(token)
+            value = complex(float(tokens[index_count]), float(tokens[index_count + 1]))
+        except ValueError as exc:
+            raise StateFormatError(f"{source}:{lineno}: bad record: {exc}") from None
+        if not np.isfinite(value):
+            raise StateFormatError(
+                f"{source}:{lineno}: bad record: amplitude "
+                f"{tokens[index_count]} {tokens[index_count + 1]} is not finite"
+            )
+    raise AssertionError("a record failed to convert but none was found")
+
+
+def _fill(dims, indices, values, linenos, source: str) -> np.ndarray:
+    """Scatter the records into a zero array after range and duplicate checks.
+
+    The first record that is out of range, or repeats the index of an
+    earlier record, is reported with its line.
+    """
     out = np.zeros(dims, dtype=np.complex128)
-    seen = set()
-    for lineno, idx, value in records:
-        for pos, (i, d) in enumerate(zip(idx, dims), start=1):
-            if not 1 <= i <= d:
-                raise StateFormatError(
-                    f"{source}:{lineno}: index {idx} out of range for dims {dims} "
-                    f"(component {pos})"
-                )
-        if idx in seen:
-            raise StateFormatError(f"{source}:{lineno}: duplicate index {idx}")
-        seen.add(idx)
-        out[tuple(i - 1 for i in idx)] = value
+    outside = (indices < 1) | (indices > np.array(dims)[:, None])
+    inside = ~outside.any(axis=0)
+    flat = np.ravel_multi_index(tuple((indices[:, inside] - 1).astype(np.intp)), dims)
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+    bad = ~inside
+    bad[np.flatnonzero(inside)[repeats]] = True
+    if bad.any():
+        pos = int(np.argmax(bad))
+        idx = tuple(int(i) for i in indices[:, pos])
+        if inside[pos]:
+            raise StateFormatError(f"{source}:{linenos[pos]}: duplicate index {idx}")
+        component = int(np.argmax(outside[:, pos])) + 1
+        raise StateFormatError(
+            f"{source}:{linenos[pos]}: index {idx} out of range for dims {dims} "
+            f"(component {component})"
+        )
+    out.reshape(-1)[flat] = values
     return out
 
 
@@ -116,9 +191,7 @@ def parse_state(
     ``RuntimeWarning``.  A state with no (or all-zero) amplitude records is
     rejected as a zero state.
     """
-    label, dims, records = _scan(text, source, index_count=3)
-    del label
-    amps = _fill(dims, records, source)
+    amps = _scan(text, source, index_count=3)
     sq_norm = float(np.sum(np.abs(amps) ** 2))
     if sq_norm == 0.0:
         raise StateFormatError(f"{source}: amplitudes describe the zero state")
@@ -161,9 +234,7 @@ def serialize_state(state: TripartiteState, label: str | None = None) -> str:
 
 def parse_matrix(text: str, source: str = "<string>") -> np.ndarray:
     """Parse a matrix document (records ``row col re im``, 1-based)."""
-    label, dims, records = _scan(text, source, index_count=2)
-    del label
-    return _fill(dims, records, source)
+    return _scan(text, source, index_count=2)
 
 
 def load_matrix(path) -> np.ndarray:

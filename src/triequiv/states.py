@@ -36,6 +36,8 @@ class TripartiteState:
             raise ValueError(f"amplitude tensor must have 3 axes, got {amps.ndim}")
         if min(amps.shape) < 1:
             raise ValueError(f"all dimensions must be positive, got {amps.shape}")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes are not finite")
         sq_norm = float(np.sum(np.abs(amps) ** 2))
         if abs(sq_norm - 1.0) > NORM_TOL:
             raise ValueError(

@@ -25,7 +25,14 @@ from triequiv.states import (
     unitarity_defect,
 )
 from triequiv.tolerances import Tolerances
-from util import basis_state, ghz_state, golden_pair_222, golden_pair_223, kron_apply
+from util import (
+    basis_state,
+    ghz_state,
+    golden_pair_222,
+    golden_pair_223,
+    kron_apply,
+    oracle_solve_phase_product,
+)
 
 DIMS = [(2, 2, 2), (2, 2, 3), (2, 3, 4), (3, 3, 3)]
 
@@ -321,6 +328,65 @@ def test_lu_rotated_pairs_are_never_refuted(dims, trial):
             )
             assert np.linalg.norm(mapped - second.amplitudes) <= 1e-9
     assert _verdict_class(forward) == _verdict_class(backward)
+
+
+def _significance_mask(kind, dims, rng):
+    if kind == "dense":
+        return np.ones(dims, dtype=bool)
+    if kind == "single":
+        mask = np.zeros(dims, dtype=bool)
+        mask[tuple(rng.integers(d) for d in dims)] = True
+        return mask
+    if kind == "disconnected":
+        # Two dense blocks on the low and the high part of every axis; they
+        # share no index unless an axis has dimension 1.
+        mask = np.zeros(dims, dtype=bool)
+        mask[tuple(slice(0, d // 2 or 1) for d in dims)] = True
+        mask[tuple(slice(d // 2, d) for d in dims)] = True
+        return mask
+    mask = rng.random(dims) < 0.3
+    mask[tuple(rng.integers(d) for d in dims)] = True
+    return mask
+
+
+def _reproduces(phases, chi, significant):
+    beta, phi, psi = phases
+    product = np.einsum("s,p,q->spq", beta, phi, psi)
+    return np.max(np.abs(product - chi)[significant]) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    kind=st.sampled_from(["dense", "sparse", "disconnected", "single"]),
+    seed=st.integers(0, 2**16),
+)
+def test_phase_solver_matches_flood_fill(dims, kind, seed):
+    rng = np.random.default_rng(seed)
+    mask = _significance_mask(kind, dims, rng)
+    # Entries off the mask sit below the relative cutoff and carry noise.
+    weight = np.where(mask, rng.uniform(0.5, 1.0, dims), rng.uniform(0, 4e-4, dims))
+    beta, phi, psi = (np.exp(2j * np.pi * rng.random(d)) for d in dims)
+    chi = np.einsum("s,p,q->spq", beta, phi, psi)
+    chi[~mask] = np.exp(2j * np.pi * rng.random(int((~mask).sum())))
+
+    new = equivalence._solve_phase_product(chi, weight)
+    old = oracle_solve_phase_product(chi, weight)
+    assert (new is None) == (old is None)
+    if kind != "sparse":
+        assert new is not None
+    if new is not None:
+        assert _reproduces(new, chi, mask)
+        assert _reproduces(old, chi, mask)
+
+    rotated = chi.copy()
+    entries = np.argwhere(mask)
+    rotated[tuple(entries[rng.integers(len(entries))])] *= np.exp(1e-3j)
+    new = equivalence._solve_phase_product(rotated, weight)
+    old = oracle_solve_phase_product(rotated, weight)
+    assert (new is None) == (old is None)
+    if kind == "dense" and min(dims) >= 2:
+        assert new is None
 
 
 class TestBridgeSplit:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triequiv.fileio import (
     StateFormatError,
@@ -92,6 +94,196 @@ class TestStateParsing:
     def test_error_carries_source_and_line(self):
         with pytest.raises(StateFormatError, match=r"input\.state:2"):
             parse_state("dims: 2 2 2\n1 1 nope 1 0\n", source="input.state")
+
+
+# One document per StateFormatError kind, each with a single fault, and the
+# full message it must give.  The last documents carry two faults: the one
+# on the earlier line wins, and every fault found while reading the lines
+# wins over the range and duplicate checks made after them.
+GOLDEN_ERRORS = {
+    "duplicate-label": (
+        "label: a\ndims: 2 2 2\nlabel: b\n1 1 1 1 0\n",
+        "s.state:3: duplicate label line",
+    ),
+    "duplicate-dims": (
+        "dims: 2 2 2\n1 1 1 1 0\ndims: 2 2 2\n",
+        "s.state:3: duplicate dims line",
+    ),
+    "dims-count": ("# c\ndims: 2 2\n", "s.state:2: dims needs 3 integers, got 2"),
+    "dims-not-integer": (
+        "dims: 2 x 2\n",
+        "s.state:1: bad dims: invalid literal for int() with base 10: 'x'",
+    ),
+    "dims-not-positive": ("dims: 2 0 2\n", "s.state:1: dims must be positive"),
+    "record-before-dims": (
+        "\n1 1 1 1 0\ndims: 2 2 2\n",
+        "s.state:2: record appears before the dims line",
+    ),
+    "field-count": (
+        "dims: 2 2 2\n1 1 1 1 0\n1 2 1 0.5\n",
+        "s.state:3: expected 3 indices plus re im, got 4 fields",
+    ),
+    "bad-integer": (
+        "dims: 2 2 2\n1 1 1 1 0\n1 1.0 2 1 0\n",
+        "s.state:3: bad record: invalid literal for int() with base 10: '1.0'",
+    ),
+    "bad-float": (
+        "dims: 2 2 2\n1 1 1 1 0\n1 2 2 0 1,5\n",
+        "s.state:3: bad record: could not convert string to float: '1,5'",
+    ),
+    "out-of-range": (
+        "dims: 2 2 2\n1 1 1 1 0\n2 2 3 0 0\n",
+        "s.state:3: index (2, 2, 3) out of range for dims (2, 2, 2) (component 3)",
+    ),
+    "out-of-range-negative": (
+        "dims: 2 2 2\n1 -1 1 1 0\n",
+        "s.state:2: index (1, -1, 1) out of range for dims (2, 2, 2) (component 2)",
+    ),
+    "out-of-range-huge": (
+        "dims: 2 2 2\n99999999999999999999 1 1 1 0\n",
+        "s.state:2: index (99999999999999999999, 1, 1) out of range for dims "
+        "(2, 2, 2) (component 1)",
+    ),
+    "duplicate-index": (
+        "dims: 2 2 2\n1 1 1 0.6 0\n2 2 2 0.6 0\n1 1 1 0.8 0\n",
+        "s.state:4: duplicate index (1, 1, 1)",
+    ),
+    "not-finite-nan": (
+        "dims: 1 1 1\n1 1 1 nan 0\n",
+        "s.state:2: bad record: amplitude nan 0 is not finite",
+    ),
+    "not-finite-inf": (
+        "dims: 1 1 2\n1 1 1 1 0\n1 1 2 0 -inf\n",
+        "s.state:3: bad record: amplitude 0 -inf is not finite",
+    ),
+    "not-finite-overflow": (
+        "dims: 1 1 1\n1 1 1 1e400 0\n",
+        "s.state:2: bad record: amplitude 1e400 0 is not finite",
+    ),
+    "zero-state": (
+        "dims: 2 2 2\n1 1 1 0 0\n",
+        "s.state: amplitudes describe the zero state",
+    ),
+    "strict-off-norm": (
+        "dims: 2 2 2\n1 1 1 0.5 0\n",
+        "s.state: state is not normalized (sum |a|^2 = 0.25) and strict mode is on",
+    ),
+    "missing-dims": ("# only\n\n", "s.state: missing dims line"),
+    "bad-float-before-duplicate-dims": (
+        "dims: 2 2 2\n1 1 1 x 0\ndims: 2 2 2\n",
+        "s.state:2: bad record: could not convert string to float: 'x'",
+    ),
+    "field-count-before-duplicate-label": (
+        "dims: 2 2 2\n1 1 1 1\nlabel: late\n",
+        "s.state:2: expected 3 indices plus re im, got 4 fields",
+    ),
+    "bad-integer-before-field-count": (
+        "dims: 2 2 2\n1 one 1 1 0\n1 1 1\n",
+        "s.state:2: bad record: invalid literal for int() with base 10: 'one'",
+    ),
+    "bad-float-after-out-of-range": (
+        "dims: 2 2 2\n3 1 1 1 0\n1 1 1 1 y\n",
+        "s.state:3: bad record: could not convert string to float: 'y'",
+    ),
+    "duplicate-before-out-of-range": (
+        "dims: 2 2 2\n1 1 1 1 0\n1 1 1 1 0\n3 1 1 1 0\n",
+        "s.state:3: duplicate index (1, 1, 1)",
+    ),
+    "out-of-range-before-duplicate": (
+        "dims: 2 2 2\n1 1 1 1 0\n1 1 5 1 0\n1 1 1 1 0\n",
+        "s.state:3: index (1, 1, 5) out of range for dims (2, 2, 2) (component 3)",
+    ),
+}
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_ERRORS))
+    def test_state_message(self, kind):
+        text, message = GOLDEN_ERRORS[kind]
+        with pytest.raises(StateFormatError) as err:
+            parse_state(text, strict=True, source="s.state")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("dims: 2 2 2\n", "m.txt:1: dims needs 2 integers, got 3"),
+            (
+                "dims: 2 2\n1 1 1 0\n1 1 0 0 0\n",
+                "m.txt:3: expected 2 indices plus re im, got 5 fields",
+            ),
+            (
+                "dims: 2 3\n2 4 1 0\n",
+                "m.txt:2: index (2, 4) out of range for dims (2, 3) (component 2)",
+            ),
+            ("dims: 2 3\n2 1 1 0\n2 1 1 0\n", "m.txt:3: duplicate index (2, 1)"),
+            (
+                "dims: 1 1\n1 1 nan 0\n",
+                "m.txt:2: bad record: amplitude nan 0 is not finite",
+            ),
+        ],
+    )
+    def test_matrix_message(self, text, message):
+        with pytest.raises(StateFormatError) as err:
+            parse_matrix(text, source="m.txt")
+        assert str(err.value) == message
+
+
+AWKWARD = [0.0, 0.1, 1 / 3, -np.pi, 1e-300, 2**-52, 1 + 2**-52, -5e-324, 1e300]
+
+
+def _decorate(text: str, data) -> str:
+    """Interleave comments and blank lines, add trailing comments, maybe CRLF."""
+    out = []
+    for line in text.splitlines():
+        extra = data.draw(st.sampled_from(["", "# note", "   ", "\t# x"]))
+        if extra:
+            out.append(extra)
+        out.append(line + data.draw(st.sampled_from(["", "  # tail", " "])))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(out) + newline
+
+
+def _sparse(data, dims, values):
+    size = int(np.prod(dims))
+    keep = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    out = np.zeros(size, dtype=complex)
+    for pos in np.flatnonzero(keep):
+        out[pos] = complex(data.draw(values), data.draw(values))
+    return out.reshape(dims)
+
+
+_DIM = st.integers(1, 6)
+
+
+class TestRoundTripProperty:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(dims=st.tuples(_DIM, _DIM, _DIM), data=st.data())
+    def test_state_round_trip(self, dims, data):
+        amps = _sparse(data, dims, st.floats(-1, 1, allow_nan=False))
+        if data.draw(st.booleans()) or not amps.any():
+            amps[:] = 0
+            amps[(0, 0, 0)] = 1 + 2**-52  # sum |a|^2 = 1 + 2**-51, within NORM_TOL
+        else:
+            amps /= np.linalg.norm(amps)
+        # Values far below the norm tolerance keep the state normalized.
+        tiny = st.sampled_from([1e-300, 2**-60, -5e-324, 0.0])
+        for pos in zip(*np.nonzero(amps == 0)):
+            if data.draw(st.booleans()):
+                amps[pos] = complex(data.draw(tiny), data.draw(tiny))
+        state = TripartiteState(amps)
+        text = _decorate(serialize_state(state, label="p"), data)
+        parsed = parse_state(text, strict=True)
+        assert np.array_equal(parsed.amplitudes, state.amplitudes)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(dims=st.tuples(_DIM, _DIM), data=st.data())
+    def test_matrix_round_trip(self, dims, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        values = st.sampled_from(AWKWARD) | finite
+        mat = _sparse(data, dims, values)
+        text = _decorate(serialize_matrix(mat, label="m"), data)
+        assert np.array_equal(parse_matrix(text), mat)
 
 
 class TestMatrixFiles:

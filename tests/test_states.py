@@ -29,6 +29,12 @@ class TestTripartiteState:
         with pytest.raises(ValueError, match="not normalized"):
             TripartiteState(np.ones((2, 2, 2), dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        # abs(nan - 1) > tol is False, so the norm check alone lets NaN in.
+        with pytest.raises(ValueError, match="not finite"):
+            TripartiteState(np.array([1, bad]).reshape(2, 1, 1))
+
     def test_from_unnormalized(self):
         state = TripartiteState.from_unnormalized(np.ones((2, 2, 2)))
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-15

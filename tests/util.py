@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from triequiv.equivalence import _PHASE_CUTOFF, _PHASE_TOL
 from triequiv.states import TripartiteState
 
 RT2 = np.sqrt(2.0)
@@ -130,3 +131,60 @@ def oracle_nested(amps, outer, inner, alpha, beta):
     trace = sum(red[x, x] for x in range(keep))
     assert abs(trace.imag) < 1e-12
     return trace.real
+
+
+def oracle_solve_phase_product(chi, weight, cutoff=_PHASE_CUTOFF, tol=_PHASE_TOL):
+    """Loop-based reference for ``equivalence._solve_phase_product``.
+
+    Flood fill over the significant entries in index order: an entry with one
+    unknown factor assigns it; when none has, the strongest entry with two
+    or more unknowns anchors beta_s (and phi_p, if psi_q is unknown too) at 1.
+    """
+    r, m, n = chi.shape
+    limit = cutoff * float(weight.max())
+    entries = [
+        (s, p, q)
+        for s in range(r)
+        for p in range(m)
+        for q in range(n)
+        if weight[s, p, q] > limit
+    ]
+    beta = [None] * r
+    phi = [None] * m
+    psi = [None] * n
+
+    unresolved = list(entries)
+    while unresolved:
+        progress = False
+        pending = []
+        for s, p, q in unresolved:
+            missing = (beta[s] is None) + (phi[p] is None) + (psi[q] is None)
+            if missing == 0:
+                continue
+            if missing == 1:
+                if beta[s] is None:
+                    beta[s] = chi[s, p, q] / (phi[p] * psi[q])
+                elif phi[p] is None:
+                    phi[p] = chi[s, p, q] / (beta[s] * psi[q])
+                else:
+                    psi[q] = chi[s, p, q] / (beta[s] * phi[p])
+                progress = True
+            else:
+                pending.append((s, p, q))
+        if not progress:
+            if not pending:
+                break
+            s, p, q = max(pending, key=lambda e: weight[e])
+            if beta[s] is None:
+                beta[s] = 1.0 + 0j
+            if phi[p] is None and psi[q] is None:
+                phi[p] = 1.0 + 0j
+        unresolved = pending
+
+    beta = np.array([1.0 + 0j if z is None else z for z in beta])
+    phi = np.array([1.0 + 0j if z is None else z for z in phi])
+    psi = np.array([1.0 + 0j if z is None else z for z in psi])
+    for s, p, q in entries:
+        if abs(chi[s, p, q] - beta[s] * phi[p] * psi[q]) > tol:
+            return None
+    return beta, phi, psi
