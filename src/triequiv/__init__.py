@@ -1,19 +1,16 @@
 """Local-unitary equivalence of pure tripartite quantum states.
 
 The package computes spectral invariants of single-cut reductions, settles
-generic pairs from each state's eigenbases of its one-party reductions,
-builds SVD-based equivalence certificates for the rest, factors bridge
-unitaries into Kronecker products through matrix realignment, and combines
-all of it into a sound decision procedure with verifiable certificates.
+pairs by searching local unitaries between each state's eigenbases of its
+one-party reductions, and combines both into a sound decision procedure with
+verifiable certificates.  The paper's SVD certificates and realignment test
+for Kronecker products are kept as library functions.
 """
 
 from .equivalence import (
     BipartiteCertificate,
     Bridge,
     CertificateError,
-    CutAttempt,
-    GaugeFreedom,
-    SpectraMismatch,
     SpectrumWitness,
     TripartiteDecision,
     Verdict,
@@ -67,12 +64,9 @@ __all__ = [
     "Bridge",
     "CertificateError",
     "Cut",
-    "CutAttempt",
     "DEFAULT_TOLERANCES",
-    "GaugeFreedom",
     "InvariantVector",
     "KronFactorization",
-    "SpectraMismatch",
     "SpectrumWitness",
     "StateFormatError",
     "Tolerances",

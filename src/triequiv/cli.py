@@ -64,16 +64,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        spectra=args.spec_tol,
-        reconstruction=args.tol,
-        rank_one=args.rank1_tol,
-    )
+    return Tolerances(spectra=args.spec_tol, reconstruction=args.tol)
 
 
 def _parse_order(text: str, dims: tuple[int, int, int]) -> tuple[Cut, ...]:
     if text == "auto":
-        # Smallest bridge space first: cheapest factorization attempts early.
+        # Smallest bridge space first: the certificate's bridge is the smallest.
         return tuple(
             sorted(Cut, key=lambda cut: np.prod(bridge_split(cut, dims)))
         )
@@ -89,7 +85,6 @@ def _tolerance_dict(tols: Tolerances) -> dict:
         "unitarity": tols.unitarity,
         "spectra": tols.spectra,
         "reconstruction": tols.reconstruction,
-        "rank_one": tols.rank_one,
         "invariant": tols.invariant,
     }
 
@@ -155,9 +150,9 @@ def _decision_report(
             "first": {},
             "second": {},
         },
-        "bridge_defects": {
-            attempt.cut.value: attempt.defect for attempt in decision.attempts
-        },
+        "bridge_defects": {}
+        if decision.bridge is None
+        else {decision.bridge.cut.value: decision.bridge.defect},
         "residual": decision.residual,
         "tolerances": _tolerance_dict(tols),
         "elapsed_seconds": elapsed,
@@ -211,11 +206,8 @@ def _decision_text(decision: TripartiteDecision, inputs: tuple[str, str]) -> str
             f"  witness: cut {w.cut.value} spectrum index {w.index}: "
             f"{w.left:.12g} vs {w.right:.12g}"
         )
-    elif decision.bridge is not None:
-        lines.append(
-            f"  best bridge defect: {decision.bridge.defect:.3e}"
-            f" (cut {decision.bridge.cut.value})"
-        )
+    else:
+        lines.append(f"  best residual: {decision.residual:.3e}")
     return "\n".join(lines)
 
 
@@ -376,18 +368,16 @@ def build_parser() -> _Parser:
         "--spec-tol", type=float, default=1e-9, help="spectrum equality tolerance"
     )
     p_check.add_argument(
-        "--rank1-tol", type=float, default=1e-8, help="realignment defect threshold"
-    )
-    p_check.add_argument(
         "--gauge-iters",
         type=int,
         default=DEFAULT_GAUGE_BUDGET,
-        help="gauge search iteration budget (0 disables)",
+        help="gauge search budget in sweeps (0 disables)",
     )
     p_check.add_argument(
         "--order",
         default="1,2,3",
-        help="cut order: permutation of 1,2,3 or 'auto' (smallest bridge first)",
+        help="permutation of 1,2,3 or 'auto' (smallest bridge first); "
+        "the certificate is reported under its first cut",
     )
     p_check.add_argument("--strict", action="store_true", help="reject off-norm input")
     p_check.add_argument("--json", action="store_true", help="emit JSON reports")

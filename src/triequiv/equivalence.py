@@ -1,44 +1,45 @@
 """The three-party equivalence decision, with certificates and witnesses.
 
 Each state is first put into its frame: the eigenbases of its three one-party
-reductions and the core tensor in those bases (the higher-order SVD).  With
-nondegenerate reductions a local unitary map only rephases each basis vector,
-so two frames settle a generic pair in closed form.  Degenerate pairs go one
-cut at a time: two states sharing a cut's singular spectrum are related by
-unitaries on the cut's row and column spaces, fixed only up to the SVD gauge,
-and ``gauge_search`` walks that gauge orbit for a column unitary that splits
-as a Kronecker product over the other two subsystems.  Every positive
-verdict is re-verified against the raw amplitude tensors.
+reductions, grouped by eigenvalue, and the core tensor in those bases (the
+higher-order SVD).  A local unitary map between two states is block-diagonal
+between their frames, one block per eigenvalue group, and carries one core
+onto the other.  ``gauge_search`` looks for those blocks: in closed form when
+every group is a single vector, otherwise by alternating per-party Procrustes
+sweeps on the two cores.  Every positive verdict is re-verified against the
+raw amplitude tensors, and a negative verdict needs a cut whose singular
+spectra differ.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .invariants import singular_spectrum
-from .realign import KronFactorization, is_unitarily_decomposable, kron_factorize
-from .states import Cut, TripartiteState, apply_local_unitaries, matricize
+
+# Not called here: perfbench/tracing.py wraps these two names on this module.
+from .realign import is_unitarily_decomposable, kron_factorize  # noqa: F401
+from .states import (
+    Cut,
+    TripartiteState,
+    apply_local_unitaries,
+    matricize,
+    random_unitary,
+)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-#: Singular values closer than this are treated as one degenerate group.
-_DEGENERACY_GAP = 1e-11
-#: Singular values below this count as zeros (null-space directions).
-_ZERO_SV = 1e-12
-#: Gauge search stops early once the defect drops this low.
-_STOP_DEFECT = 1e-12
-#: Gauge search restarts after this many iterations without a 0.1% improvement.
-_STALL_WINDOW = 15
-#: Reduction eigenvalue gaps below this make a state's frame unreliable.
+#: Reduction eigenvalues above this that lie closer than it share a group.
 _EIG_GAP = 1e-6
 #: Core entries weaker than this fraction of the strongest carry noise phases.
 _PHASE_CUTOFF = 1e-3
 #: A phase product off its core entry ratio by more than this is inconsistent.
 _PHASE_TOL = 1e-6
-#: Default total gauge-search iteration budget.
+#: A sweep that lowers the frame residual by less than this fraction restarts.
+_MIN_GAIN = 1e-3
+#: Default gauge-search budget, in sweeps.
 DEFAULT_GAUGE_BUDGET = 1000
 
 
@@ -70,23 +71,14 @@ def bridge_split(cut: Cut, dims: tuple[int, int, int]) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class GaugeFreedom:
-    """Right-multiplier gauge orbit of a certificate's column unitary.
+class SpectrumWitness:
+    """Spectrum position at which two states (or two matrices) provably differ.
 
-    Orbit elements are ``V @ basis @ h @ basis.conj().T`` where ``h`` is any
-    block-diagonal unitary over ``groups``; each group collects the column
-    singular vectors of one (near-)degenerate singular value, with the null
-    space as the final group.
+    ``cut`` names the cut whose singular spectra differ; it is None when two
+    plain matrices were compared.
     """
 
-    basis: np.ndarray
-    groups: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class SpectraMismatch:
-    """Witness that two singular spectra differ beyond tolerance."""
-
+    cut: Cut | None
     index: int
     left: float
     right: float
@@ -104,7 +96,6 @@ class BipartiteCertificate:
     v: np.ndarray
     sigma: np.ndarray
     residual: float
-    gauge: GaugeFreedom | None = field(default=None, repr=False)
 
 
 class CertificateError(RuntimeError):
@@ -113,7 +104,11 @@ class CertificateError(RuntimeError):
 
 @dataclass(frozen=True)
 class Bridge:
-    """Attempted (or certified) row/column unitary pair for one cut."""
+    """Certified row/column unitary pair for one cut.
+
+    ``defect`` is the Kronecker defect of the column unitary, which is built
+    as a Kronecker product and so reads 0.
+    """
 
     cut: Cut
     u: np.ndarray
@@ -122,44 +117,34 @@ class Bridge:
 
 
 @dataclass(frozen=True)
-class SpectrumWitness:
-    """Cut and spectrum position at which two states provably differ."""
-
-    cut: Cut
-    index: int
-    left: float
-    right: float
-
-
-@dataclass(frozen=True)
-class CutAttempt:
-    """Best realignment defect reached while testing one cut."""
-
-    cut: Cut
-    defect: float
-
-
-@dataclass(frozen=True)
 class StateFrame:
     """Eigenbases of the three one-party reductions and the core tensor in them.
 
-    ``bases[p]`` holds party p's eigenvectors as columns, eigenvalues descending.
+    ``bases[p]`` holds party p's eigenvectors as columns, eigenvalues
+    descending.  ``groups[p]`` splits their indices into runs of eigenvalues
+    above ``_EIG_GAP`` that lie closer than ``_EIG_GAP``; every smaller
+    eigenvalue is a group of its own, as the state has (almost) no weight
+    there.
     """
 
     bases: tuple[np.ndarray, np.ndarray, np.ndarray]
     core: np.ndarray
+    groups: tuple[tuple[slice, ...], ...]
 
 
 @dataclass(frozen=True)
 class TripartiteDecision:
-    """Outcome of the equivalence decision, with certificate or witness."""
+    """Outcome of the equivalence decision, with certificate or witness.
+
+    ``residual`` is the certificate's reconstruction residual, or for an
+    inconclusive decision the lowest residual the search reached.
+    """
 
     verdict: Verdict
     local_factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     bridge: Bridge | None = None
     residual: float | None = None
     witness: SpectrumWitness | None = None
-    attempts: tuple[CutAttempt, ...] = ()
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -168,40 +153,17 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
     return w @ zh
 
 
-def _positive_groups(sigma: np.ndarray) -> list[list[int]]:
-    """Indices of positive singular values, grouped by near-degeneracy."""
-    groups: list[list[int]] = []
-    for i, s in enumerate(sigma):
-        if s <= _ZERO_SV:
-            break
-        if groups and sigma[groups[-1][-1]] - s <= _DEGENERACY_GAP:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def _sv_groups(sigma: np.ndarray, total: int) -> tuple[tuple[int, ...], ...]:
-    """Degeneracy groups padded with the null-space tail up to ``total``."""
-    groups = [tuple(g) for g in _positive_groups(sigma)]
-    rank = sum(len(g) for g in groups)
-    if rank < total:
-        groups.append(tuple(range(rank, total)))
-    return tuple(groups)
-
-
 def bipartite_equivalent(
     a: np.ndarray, b: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES
-) -> BipartiteCertificate | SpectraMismatch:
+) -> BipartiteCertificate | SpectrumWitness:
     """Certificate (u, v) with b = u @ a @ v.T, or the spectral witness against it.
 
-    Both matrices are decomposed as a = ua D vha, b = ub D vhb with descending
-    singular values.  If the spectra deviate anywhere by more than
-    ``tols.spectra`` the states are inequivalent and the witnessing index is
-    returned.  Otherwise u = ub @ ua† and v = conj(vb) @ va^t satisfy the
-    reconstruction identity up to the spectral deviation; degenerate groups
-    and the null spaces of the second SVD are first aligned to the first via
-    small Procrustes problems so the certificate is deterministic.
+    Both matrices are decomposed as a = ua Da vha, b = ub Db vhb with
+    descending singular values.  If the spectra deviate anywhere by more than
+    ``tols.spectra`` the matrices are inequivalent and the witnessing index
+    is returned, with no cut.  Otherwise u = ub @ ua† and v = conj(vb) @ va^t
+    give u @ a @ v.T = ub Da vhb, which is b up to the spectral deviation
+    whatever bases the two SVDs chose inside degenerate groups.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -213,145 +175,50 @@ def bipartite_equivalent(
     deviation = np.abs(sa - sb)
     worst = int(np.argmax(deviation))
     if deviation[worst] > tols.spectra:
-        return SpectraMismatch(index=worst, left=float(sa[worst]), right=float(sb[worst]))
-
-    d_rows, d_cols = a.shape
-    va = vha.conj().T
-    vb = vhb.conj().T
-    ub = ub.copy()
-
-    pos_groups = _positive_groups(sa)
-    rank = sum(len(g) for g in pos_groups)
-    for g in pos_groups:
-        # One rotation shared by ub and vb keeps b = ub D vhb exact on the group.
-        q = _polar_unitary(ub[:, g].conj().T @ ua[:, g])
-        ub[:, g] = ub[:, g] @ q
-        vb[:, g] = vb[:, g] @ q
-    if rank < d_rows:
-        q = _polar_unitary(ub[:, rank:].conj().T @ ua[:, rank:])
-        ub[:, rank:] = ub[:, rank:] @ q
-    if rank < d_cols:
-        q = _polar_unitary(vb[:, rank:].conj().T @ va[:, rank:])
-        vb[:, rank:] = vb[:, rank:] @ q
+        return SpectrumWitness(
+            cut=None, index=worst, left=float(sa[worst]), right=float(sb[worst])
+        )
 
     u_cert = ub @ ua.conj().T
-    v_cert = vb.conj() @ va.T
+    v_cert = vhb.T @ vha.conj()
     residual = float(np.linalg.norm(b - u_cert @ a @ v_cert.T))
     if residual > tols.reconstruction:
         raise CertificateError(
             f"certificate residual {residual:.3e} exceeds {tols.reconstruction} "
             "although the singular spectra agree"
         )
-    gauge = GaugeFreedom(basis=va.conj(), groups=_sv_groups(sa, d_cols))
-    return BipartiteCertificate(
-        u=u_cert, v=v_cert, sigma=sa.copy(), residual=residual, gauge=gauge
-    )
+    return BipartiteCertificate(u=u_cert, v=v_cert, sigma=sa.copy(), residual=residual)
 
 
-def _block_polar(
-    w: np.ndarray, groups: tuple[tuple[int, ...], ...], dim: int
-) -> np.ndarray:
-    """Block-diagonal unitary nearest to ``w`` over the given index groups."""
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for g in groups:
-        if len(g) == 1:
-            z = w[g[0], g[0]]
-            h[g[0], g[0]] = z / abs(z) if abs(z) > 1e-15 else 1.0
-        else:
-            idx = np.ix_(g, g)
-            blk = w[idx]
-            u_f, s_f, vh_f = np.linalg.svd(blk)
-            h[idx] = u_f @ vh_f if s_f[0] > 1e-15 else np.eye(len(g))
-    return h
+def _solve_angles(coef: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Angles x with coef @ x = angle (mod 2 pi), for integer-valued ``coef``.
 
-
-def _random_block_unitary(
-    groups: tuple[tuple[int, ...], ...], dim: int, rng: np.random.Generator
-) -> np.ndarray:
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for g in groups:
-        if len(g) == 1:
-            h[g[0], g[0]] = np.exp(2j * np.pi * rng.random())
-        else:
-            z = rng.standard_normal((len(g), len(g))) + 1j * rng.standard_normal(
-                (len(g), len(g))
-            )
-            q, r = np.linalg.qr(z)
-            d = np.diagonal(r)
-            h[np.ix_(g, g)] = q * np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
-    return h
-
-
-def gauge_search(
-    v: np.ndarray,
-    m: int,
-    n: int,
-    budget: int = DEFAULT_GAUGE_BUDGET,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-    gauge: GaugeFreedom | None = None,
-    seed: int = 0,
-) -> KronFactorization:
-    """Search the gauge orbit of ``v`` for a Kronecker-decomposable element.
-
-    Alternates two projections: the nearest Kronecker product of the current
-    orbit element, and the orbit element nearest to that product (a closed
-    form: per-group phases and block polar factors).  Without an explicit
-    ``gauge`` the orbit is standard-basis diagonal phase rotations.  The
-    search is a heuristic: it restarts from seeded random gauge elements
-    until ``budget`` total iterations are spent, is deterministic for a fixed
-    seed, and with ``budget=0`` reduces to :func:`kron_factorize`.  Failure
-    simply means the returned defect still exceeds ``tols.rank_one``.
+    Integer row operations (Euclid on each column) bring the system to
+    echelon form without changing its solutions mod 2 pi; back substitution
+    then sets every non-pivot unknown to 0 and takes one root for a pivot
+    coefficient above 1.  Rows left all zero are not checked here.
     """
-    v = np.asarray(v, dtype=np.complex128)
-    dim = m * n
-    if v.shape != (dim, dim):
-        raise ValueError(f"expected shape ({dim}, {dim}), got {v.shape}")
-    best = kron_factorize(v, m, n, tols.rank_one)
-    if budget <= 0 or best.decomposable:
-        return best
-
-    if gauge is None:
-        basis = np.eye(dim, dtype=np.complex128)
-        groups: tuple[tuple[int, ...], ...] = tuple((i,) for i in range(dim))
-    else:
-        basis = np.asarray(gauge.basis, dtype=np.complex128)
-        groups = gauge.groups
-
-    rng = np.random.default_rng(seed)
-    left = v @ basis
-    basis_h = basis.conj().T
-    spent = 0
-    first = True
-    while spent < budget and best.defect > _STOP_DEFECT:
-        h = np.eye(dim, dtype=np.complex128) if first else _random_block_unitary(
-            groups, dim, rng
-        )
-        first = False
-        prev = np.inf
-        stall = 0
-        while spent < budget:
-            spent += 1
-            candidate = left @ h @ basis_h
-            f = kron_factorize(candidate, m, n, tols.rank_one)
-            if f.defect < best.defect:
-                best = f
-            if f.defect <= _STOP_DEFECT:
-                return best
-            if f.defect > prev * (1.0 - 1e-3):
-                stall += 1
-                if stall >= _STALL_WINDOW:
-                    break
-            else:
-                stall = 0
-            prev = f.defect
-            target = f.product()
-            h = _block_polar(left.conj().T @ target @ basis, groups, dim)
-    return best
-
-
-def _procrustes_unitary(target: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """Unitary q minimizing ||target - q @ source||_F."""
-    return _polar_unitary(target @ source.conj().T)
+    coef, angle = coef.copy(), angle.copy()
+    pivots: list[int] = []
+    for col in range(coef.shape[1]):
+        top = len(pivots)
+        while True:
+            rows = top + np.flatnonzero(coef[top:, col])
+            if not rows.size:
+                break
+            k = rows[np.argmin(np.abs(coef[rows, col]))]
+            coef[[top, k]], angle[[top, k]] = coef[[k, top]], angle[[k, top]]
+            rows = top + 1 + np.flatnonzero(coef[top + 1 :, col])
+            if not rows.size:
+                pivots.append(col)
+                break
+            factor = coef[rows, col] // coef[top, col]
+            coef[rows] -= factor[:, None] * coef[top]
+            angle[rows] -= factor * angle[top]
+    x = np.zeros(coef.shape[1])
+    for row, col in reversed(list(enumerate(pivots))):
+        x[col] = (angle[row] - coef[row] @ x) / coef[row, col]
+    return x
 
 
 def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple | None:
@@ -361,9 +228,11 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple | None:
     ``_PHASE_CUTOFF`` times the largest weight are ignored (their phases are
     noise).  Each sweep assigns every unknown factor that some entry with
     exactly one unknown determines, from the strongest such entry.  When no
-    entry has exactly one unknown, the strongest entry with two or more sets
-    its beta_s to 1, and its phi_p too when psi_q is unknown: disconnected
-    parts carry free gauge.  Returns (beta, phi, psi) or None on
+    entry has exactly one unknown and nothing is known yet, the strongest
+    entry's beta_s and phi_p are set to 1, a gauge choice.  Later a factor
+    set to 1 could lie on a cycle of entries that fixes it up to a root of
+    unity, so the open entries are solved exactly instead, by
+    :func:`_solve_angles`.  Returns (beta, phi, psi) or None on
     inconsistency.
     """
     r, m, n = chi.shape
@@ -390,39 +259,136 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple | None:
         open_entries = np.flatnonzero(missing)
         if not open_entries.size:
             break
-        beta_node, phi_node, psi_node = nodes[:, open_entries[0]]
-        known[beta_node] = True
-        if not known[psi_node]:
-            known[phi_node] = True
+        if not known.any():
+            known[nodes[:2, open_entries[0]]] = True
+            continue
+        sub = nodes[:, open_entries]
+        hit = ~known[sub]
+        # Not np.unique: its hashing path costs ~1.5 MB of RSS on first use.
+        needed = np.zeros_like(known)
+        needed[sub] = True
+        free = np.flatnonzero(needed & ~known)
+        coef = np.zeros((open_entries.size, free.size))
+        coef[np.nonzero(hit)[1], np.searchsorted(free, sub[hit])] = 1
+        rest = np.where(hit, 1.0, value[sub]).prod(axis=0)
+        angle = np.angle(target[open_entries] / rest)
+        value[free] = np.exp(1j * _solve_angles(coef, angle))
+        known[free] = True
     product = value[nodes[0]] * value[nodes[1]] * value[nodes[2]]
     if np.any(np.abs(target - product) > _PHASE_TOL):
         return None
     return value[:r], value[r : r + m], value[r + m :]
 
 
+def _sweep(core: np.ndarray, unfolded: tuple, g: list) -> float:
+    """Replace each g[p] in turn by its Procrustes optimum; the new residual.
+
+    With the other two factors fixed, the unitary that best carries ``core``
+    onto the target along axis p is the polar factor of
+    target_(p) conj(g_q (x) g_r) core_(p)^dagger.  ``unfolded`` holds the
+    target's unfoldings along A and B and its (AB, C) matricization.
+    """
+    a, b, c = core.shape
+    t_a, t_b, t_c = unfolded
+    along_c = core @ g[2].T
+    x = g[1] @ along_c
+    g[0] = _polar_unitary(t_a @ x.reshape(a, -1).conj().T)
+    x = (g[0] @ along_c.reshape(a, -1)).reshape(a, b, c)
+    g[1] = _polar_unitary(t_b @ x.transpose(1, 0, 2).reshape(b, -1).conj().T)
+    x = (g[1] @ (g[0] @ core.reshape(a, -1)).reshape(a, b, c)).reshape(-1, c)
+    g[2] = _polar_unitary(t_c.T @ x.conj())
+    return float(np.linalg.norm(t_c - x @ g[2].T))
+
+
+def _block_unitary(groups: tuple[slice, ...], rng: np.random.Generator) -> np.ndarray:
+    """Random unitary that is block-diagonal over ``groups``."""
+    dim = groups[-1].stop
+    h = np.zeros((dim, dim), dtype=np.complex128)
+    for group in groups:
+        h[group, group] = random_unitary(group.stop - group.start, rng)
+    return h
+
+
+def gauge_search(
+    first: StateFrame,
+    second: StateFrame,
+    budget: int = DEFAULT_GAUGE_BUDGET,
+    tols: Tolerances = DEFAULT_TOLERANCES,
+    seed: int = 0,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float]:
+    """Local unitaries that carry the first frame's state towards the second's.
+
+    Searches unitaries G_p with core' = (G_A (x) G_B (x) G_C) core; they give
+    U_p = E'_p G_p E_p^dagger, and since the bases are unitary the frame
+    residual ||core' - (G_A (x) G_B (x) G_C) core|| is the raw residual of
+    (U_A, U_B, U_C).  When every eigenvalue group is a single vector, the
+    G_p of an LU pair are diagonal phases and the start is their closed-form
+    solve; otherwise, or when that solve finds no consistent phases, the
+    start is the identity.  Until the residual passes ``tols.reconstruction``
+    or ``budget`` sweeps are spent, each sweep updates every G_p in turn by
+    Procrustes, and a sweep that gains less than ``_MIN_GAIN`` restarts from
+    a seeded random unitary that is block-diagonal over the first frame's
+    groups.  Deterministic for a fixed seed.  Returns the factors with the
+    lowest residual reached, and that residual.
+    """
+    core, target = first.core, second.core
+    if core.shape != target.shape:
+        raise ValueError(f"shape mismatch: {core.shape} vs {target.shape}")
+    phases = [np.ones(d) for d in core.shape]
+    if all(len(groups) == d for groups, d in zip(first.groups, core.shape)):
+        chi = target * core.conj()
+        chi = chi / np.maximum(np.abs(chi), 1e-300)
+        phases = _solve_phase_product(chi, np.abs(core)) or phases
+    outer = phases[0][:, None, None] * phases[1][:, None] * phases[2]
+    best = float(np.linalg.norm(target - outer * core))
+    g = [np.diag(phase) for phase in phases]
+    best_g = list(g)
+    a, b, c = core.shape
+    unfolded = (
+        target.reshape(a, -1),
+        target.transpose(1, 0, 2).reshape(b, -1),
+        target.reshape(-1, c),
+    )
+    rng = np.random.default_rng(seed)
+    last = best
+    for _ in range(budget):
+        if best <= tols.reconstruction:
+            break
+        residual = _sweep(core, unfolded, g)
+        if residual < best:
+            best_g, best = list(g), residual
+        if residual > last * (1.0 - _MIN_GAIN):
+            g = [_block_unitary(groups, rng) for groups in first.groups]
+            last = np.inf
+        else:
+            last = residual
+    factors = tuple(
+        e_p @ g_p @ e.conj().T for e, e_p, g_p in zip(first.bases, second.bases, best_g)
+    )
+    return factors, best
+
+
 def _certify(
     state: TripartiteState,
     other: TripartiteState,
     cut: Cut,
-    u_left: np.ndarray,
-    u_right: np.ndarray,
-    defect: float,
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray],
     tols: Tolerances,
 ) -> TripartiteDecision | None:
-    """Assemble and verify local factors from bridge factors, or None.
+    """Verified decision under ``cut`` from candidate local factors, or None.
 
-    The factors are snapped to exact unitaries, the row-side unitary is
-    recomputed by Procrustes, and the verdict stands only if applying the
-    three local unitaries to the raw amplitude tensor reproduces the second
-    state within the reconstruction tolerance.  ``defect`` is the Kronecker
-    defect of the factorisation the bridge factors came from.
+    The two factors off the cut are snapped to exact unitaries and form the
+    bridge ``kron(U_j, U_k)``, a Kronecker product by construction (defect
+    0); the cut's own factor is recomputed by Procrustes.  The verdict stands
+    only if the three local unitaries map the raw amplitude tensor onto the
+    second state within the reconstruction tolerance.
     """
-    u_left = _polar_unitary(u_left)
-    u_right = _polar_unitary(u_right)
-    v_bridge = np.kron(u_left, u_right)
-    u_bridge = _procrustes_unitary(
-        matricize(other, cut), matricize(state, cut) @ v_bridge.T
+    u_left, u_right = (
+        _polar_unitary(u) for u, party in zip(factors, Cut) if party is not cut
     )
+    v_bridge = np.kron(u_left, u_right)
+    mapped_rows = matricize(state, cut) @ v_bridge.T
+    u_bridge = _polar_unitary(matricize(other, cut) @ mapped_rows.conj().T)
 
     if cut is Cut.A:
         factors = (u_bridge, u_left, u_right)
@@ -438,101 +404,26 @@ def _certify(
     return TripartiteDecision(
         verdict=VERDICT_FOR_CUT[cut],
         local_factors=factors,
-        bridge=Bridge(cut=cut, u=u_bridge, v=v_bridge, defect=defect),
+        bridge=Bridge(cut=cut, u=u_bridge, v=v_bridge, defect=0.0),
         residual=residual,
-        attempts=(CutAttempt(cut=cut, defect=defect),),
     )
 
 
-def _state_frame(state: TripartiteState) -> StateFrame | None:
-    """Frame of ``state``, or None when a reduction is degenerate on its support.
-
-    Each eigenvalue above ``_EIG_GAP`` must lie at least ``_EIG_GAP`` above
-    the next one.  Eigenvalues below it may cluster: the state has (almost)
-    no weight there, so how those basis vectors pair up does not matter.
-    """
-    bases = []
+def _state_frame(state: TripartiteState) -> StateFrame:
+    """Frame of ``state``: reduction eigenbases, their eigenvalue groups, the core."""
+    bases, groups = [], []
     for cut in Cut:
         a = matricize(state, cut)
         vals, vecs = np.linalg.eigh(a @ a.conj().T)
         vals, vecs = vals[::-1], vecs[:, ::-1]
-        if np.any((vals[:-1] > _EIG_GAP) & (vals[:-1] - vals[1:] < _EIG_GAP)):
-            return None
+        joined = (vals[:-1] > _EIG_GAP) & (vals[:-1] - vals[1:] < _EIG_GAP)
+        edges = [0, *(np.flatnonzero(~joined) + 1).tolist(), vals.size]
+        groups.append(tuple(slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])))
         bases.append(vecs)
-    core = np.einsum(
-        "ia,jb,kc,ijk->abc",
-        *(e.conj() for e in bases),
-        state.amplitudes,
-        optimize=True,
-    )
-    return StateFrame(bases=tuple(bases), core=core)
-
-
-def _frame_decision(
-    state: TripartiteState, other: TripartiteState, cut: Cut, tols: Tolerances
-) -> TripartiteDecision | None:
-    """Equivalence certified from the two states' frames, or None.
-
-    With nondegenerate reductions a local unitary map sends each frame basis
-    vector to its partner up to a phase, so ``core'/core`` factors into
-    per-party phases and U_p = E'_p diag(phase_p) E_p^dagger.  The result is
-    certified under ``cut``: its row unitary comes from Procrustes, and its
-    bridge is the Kronecker product of the other two factors by
-    construction, hence defect 0.
-    """
-    first, second = _state_frame(state), _state_frame(other)
-    if first is None or second is None:
-        return None
-    chi = second.core * first.core.conj()
-    chi = chi / np.maximum(np.abs(chi), 1e-300)
-    phases = _solve_phase_product(chi, np.abs(first.core))
-    if phases is None:
-        return None
-    factors = [
-        e_p @ (phase[:, None] * e.conj().T)
-        for e, e_p, phase in zip(first.bases, second.bases, phases)
-    ]
-    u_left, u_right = (u for u, party in zip(factors, Cut) if party is not cut)
-    return _certify(state, other, cut, u_left, u_right, 0.0, tols)
-
-
-def _cut_decision(
-    state: TripartiteState,
-    other: TripartiteState,
-    cut: Cut,
-    tols: Tolerances,
-    gauge_budget: int,
-    seed: int,
-) -> TripartiteDecision:
-    """The per-cut test: SVD certificate, direct split, then gauge search."""
-    a = matricize(state, cut)
-    b = matricize(other, cut)
-    try:
-        res = bipartite_equivalent(a, b, tols)
-    except CertificateError:
-        return TripartiteDecision(verdict=Verdict.INCONCLUSIVE)
-    if isinstance(res, SpectraMismatch):
-        return TripartiteDecision(
-            verdict=Verdict.INVARIANTS_DIFFER,
-            witness=SpectrumWitness(
-                cut=cut, index=res.index, left=res.left, right=res.right
-            ),
-        )
-    m, n = bridge_split(cut, state.dims)
-    f = is_unitarily_decomposable(
-        res.v, m, n, tols.rank_one, tols.unitarity, tols.reconstruction
-    )
-    if not f.decomposable and gauge_budget > 0:
-        f = gauge_search(res.v, m, n, gauge_budget, tols, gauge=res.gauge, seed=seed)
-    if f.defect <= tols.rank_one:
-        decision = _certify(state, other, cut, *f.unitary_factors(), f.defect, tols)
-        if decision is not None:
-            return decision
-    return TripartiteDecision(
-        verdict=Verdict.INCONCLUSIVE,
-        bridge=Bridge(cut=cut, u=res.u, v=res.v, defect=f.defect),
-        attempts=(CutAttempt(cut=cut, defect=f.defect),),
-    )
+    e_a, e_b, e_c = (e.conj().T for e in bases)
+    k, m, n = state.dims
+    core = e_b @ (e_a @ (state.amplitudes @ e_c.T).reshape(k, -1)).reshape(k, m, n)
+    return StateFrame(bases=tuple(bases), core=core, groups=tuple(groups))
 
 
 def check_di(
@@ -543,20 +434,14 @@ def check_di(
     gauge_budget: int = DEFAULT_GAUGE_BUDGET,
     seed: int = 0,
 ) -> TripartiteDecision:
-    """Test equivalence through one cut.
+    """:func:`decide_equivalence` with its certificate reported under ``cut``.
 
-    Generic pairs are settled from the two states' frames and reported under
-    ``cut``; other pairs get the cut's spectra comparison, SVD certificate,
-    direct split and :func:`gauge_search`.  An equivalence verdict is only
-    returned after verification against the raw amplitude tensors; a failed
-    search yields ``INCONCLUSIVE`` - never a claim of inequivalence.
+    The spectra of all three cuts are still compared, so a pair may be
+    refuted through a cut other than ``cut``.
     """
-    if state.dims != other.dims:
-        raise ValueError(f"dimension mismatch: {state.dims} vs {other.dims}")
-    decision = _frame_decision(state, other, cut, tols)
-    if decision is None:
-        decision = _cut_decision(state, other, cut, tols, gauge_budget, seed)
-    return decision
+    return decide_equivalence(
+        state, other, tols, order=(cut,), gauge_budget=gauge_budget, seed=seed
+    )
 
 
 def decide_equivalence(
@@ -567,16 +452,17 @@ def decide_equivalence(
     gauge_budget: int = DEFAULT_GAUGE_BUDGET,
     seed: int = 0,
 ) -> TripartiteDecision:
-    """Full decision: spectra on all three cuts, the frames, then the cut cascade.
+    """Full decision: spectra on all three cuts, then one search in the frames.
 
     Any cut with differing singular spectra proves inequivalence outright, so
-    the spectra of cuts A, B and C are compared before anything else,
-    whatever ``order`` says.  Next the two states' frames are compared once;
-    a generic pair is settled there and reported under the first cut of
-    ``order``.  Otherwise the per-cut test runs on the cuts in ``order``
-    (default A, B, C) and the first verified equivalence is returned; if
-    every cut stays undecided the verdict is ``INCONCLUSIVE`` with the
-    lowest-defect bridge kept for diagnostics.
+    the spectra of cuts A, B and C are compared first, whatever ``order``
+    says.  Otherwise each state is put into its frame once and
+    :func:`gauge_search` spends at most ``gauge_budget`` sweeps looking for
+    local unitaries between them.  A candidate whose frame residual passes is
+    re-verified against the raw tensors and reported under the first cut of
+    ``order`` (default A; the rest of ``order`` is not used).  Anything else
+    is ``INCONCLUSIVE`` with the lowest residual reached - never a claim of
+    inequivalence.
     """
     if state.dims != other.dims:
         raise ValueError(f"dimension mismatch: {state.dims} vs {other.dims}")
@@ -597,20 +483,11 @@ def decide_equivalence(
                 ),
             )
 
-    decision = _frame_decision(state, other, cuts[0], tols)
-    if decision is not None:
-        return decision
-    attempts: list[CutAttempt] = []
-    best_bridge: Bridge | None = None
-    for cut in cuts:
-        decision = _cut_decision(state, other, cut, tols, gauge_budget, seed)
-        attempts.extend(decision.attempts)
-        if decision.verdict in EQUIVALENT_VERDICTS:
-            return dataclasses.replace(decision, attempts=tuple(attempts))
-        if decision.bridge is not None and (
-            best_bridge is None or decision.bridge.defect < best_bridge.defect
-        ):
-            best_bridge = decision.bridge
-    return TripartiteDecision(
-        verdict=Verdict.INCONCLUSIVE, bridge=best_bridge, attempts=tuple(attempts)
+    factors, residual = gauge_search(
+        _state_frame(state), _state_frame(other), gauge_budget, tols, seed
     )
+    if residual <= tols.reconstruction:
+        decision = _certify(state, other, cuts[0], factors, tols)
+        if decision is not None:
+            return decision
+    return TripartiteDecision(verdict=Verdict.INCONCLUSIVE, residual=residual)

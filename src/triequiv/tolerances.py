@@ -39,7 +39,6 @@ class Tolerances:
     unitarity: float = UNITARITY_TOL
     spectra: float = SPECTRA_TOL
     reconstruction: float = RECON_TOL
-    rank_one: float = RANK1_TOL
     invariant: float = INVARIANT_TOL
 
 

@@ -76,6 +76,28 @@ class TestCheckCommand:
         assert main(["check", str(p1), str(p2), "--gauge-iters", "0"]) == 2
         assert "inconclusive" in capsys.readouterr().out
 
+    def test_inconclusive_json_carries_best_residual(self, tmp_path, capsys):
+        ghz = ghz_state()
+        rotated = apply_local_unitaries(
+            ghz, random_unitary(2, 1), random_unitary(2, 2), random_unitary(2, 3)
+        )
+        p1 = tmp_path / "a.state"
+        p2 = tmp_path / "b.state"
+        p1.write_text(serialize_state(ghz))
+        p2.write_text(serialize_state(rotated))
+        assert main(["check", str(p1), str(p2), "--gauge-iters", "0", "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "inconclusive"
+        assert report["certificate"] is None and report["bridge"] is None
+        assert report["bridge_defects"] == {}
+        assert report["residual"] > 1e-9
+        assert "rank_one" not in report["tolerances"]
+        assert main(["check", str(p1), str(p2), "--gauge-iters", "0"]) == 2
+        assert "best residual" in capsys.readouterr().out
+
+    def test_rank1_tol_is_not_a_check_option(self, golden_files):
+        assert main(["check", *golden_files, "--rank1-tol", "1e-8"]) == 64
+
     def test_json_report(self, golden_files, capsys):
         assert main(["check", *golden_files, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triequiv import equivalence
 from triequiv.equivalence import (
     EQUIVALENT_VERDICTS,
     CertificateError,
-    SpectraMismatch,
+    SpectrumWitness,
     Verdict,
     bipartite_equivalent,
     bridge_split,
@@ -15,9 +15,9 @@ from triequiv.equivalence import (
     decide_equivalence,
     gauge_search,
 )
-from triequiv.realign import kron_factorize
 from triequiv.states import (
     Cut,
+    TripartiteState,
     apply_local_unitaries,
     matricize,
     random_state,
@@ -35,6 +35,8 @@ from util import (
 )
 
 DIMS = [(2, 2, 2), (2, 2, 3), (2, 3, 4), (3, 3, 3)]
+# The paper's per-cut machinery, which the decision no longer calls.
+PER_CUT = ("bipartite_equivalent", "kron_factorize", "is_unitarily_decomposable")
 
 
 def _lu_pair(dims, trial, entropy=9876):
@@ -65,7 +67,7 @@ class TestBipartiteEquivalent:
             v0 = random_unitary(6, seed=20 + trial)
             b = u0 @ a @ v0.T
             cert = bipartite_equivalent(a, b)
-            assert not isinstance(cert, SpectraMismatch)
+            assert not isinstance(cert, SpectrumWitness)
             assert cert.residual <= 1e-9
             assert unitarity_defect(cert.u) <= 1e-10
             assert unitarity_defect(cert.v) <= 1e-10
@@ -75,7 +77,8 @@ class TestBipartiteEquivalent:
         product = basis_state((2, 2, 2), (0, 0, 0))
         ghz = ghz_state()
         res = bipartite_equivalent(matricize(product, Cut.A), matricize(ghz, Cut.A))
-        assert isinstance(res, SpectraMismatch)
+        assert isinstance(res, SpectrumWitness)
+        assert res.cut is None
         assert res.deviation > 0.2
 
     def test_shape_mismatch_raises(self):
@@ -95,41 +98,69 @@ class TestBipartiteEquivalent:
             bipartite_equivalent(a, b, tols)
 
 
+def _with_noise(state, norm, rng):
+    noise = rng.standard_normal(state.dims) + 1j * rng.standard_normal(state.dims)
+    return TripartiteState.from_unnormalized(
+        state.amplitudes + norm * noise / np.linalg.norm(noise)
+    )
+
+
+def _frames(first, second):
+    return equivalence._state_frame(first), equivalence._state_frame(second)
+
+
+def _rotated_ghz(d=2, seed=11):
+    amps = np.zeros((d, d, d), dtype=complex)
+    amps[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    ghz = TripartiteState.from_unnormalized(amps)
+    factors = (random_unitary(d, seed + i) for i in range(3))
+    return ghz, apply_local_unitaries(ghz, *factors)
+
+
 class TestGaugeSearch:
     def test_already_decomposable_returned_unchanged(self):
-        u = np.kron(random_unitary(2, 1), random_unitary(3, 2))
-        f = gauge_search(u, 2, 3, budget=100)
-        assert f.decomposable
-        assert f.defect <= 1e-8
+        # GHZ against itself: the identity start already passes, so the
+        # degenerate frames cost no sweep and the factors stay the identity.
+        ghz, _ = _rotated_ghz()
+        factors, residual = gauge_search(*_frames(ghz, ghz), budget=100)
+        assert residual <= 1e-12
+        for u in factors:
+            np.testing.assert_allclose(u, np.eye(2), atol=1e-12)
 
-    def test_budget_zero_matches_kron_factorize(self):
-        v = random_unitary(6, seed=3)
-        f0 = gauge_search(v, 2, 3, budget=0)
-        f1 = kron_factorize(v, 2, 3)
-        assert f0.defect == f1.defect
-        np.testing.assert_array_equal(f0.x, f1.x)
+    def test_budget_zero_runs_no_sweep(self, monkeypatch):
+        ghz, rotated = _rotated_ghz()
+        first, second = _frames(ghz, rotated)
+        monkeypatch.setattr(equivalence, "_sweep", None)
+        _, residual = gauge_search(first, second, budget=0)
+        assert residual == np.linalg.norm(second.core - first.core)
+        assert residual > 1e-3
 
     def test_recovers_diagonal_phase_gauge(self):
-        # Phase pollution of the kind a vector-by-vector SVD gauge produces.
-        rng = np.random.default_rng(4)
-        for trial in range(5):
-            a = random_unitary(2, seed=40 + trial)
-            b = random_unitary(3, seed=60 + trial)
-            phases = np.exp(2j * np.pi * rng.random(6))
-            v = np.kron(a, b) @ np.diag(phases)
-            assert kron_factorize(v, 2, 3).defect > 1e-3
-            f = gauge_search(v, 2, 3, budget=400, seed=7)
-            assert f.defect <= 1e-8
+        # With noise a third of the tolerance, the closed-form phases of a
+        # generic pair miss the tolerance; the sweeps recover the gauge.
+        state, rotated, _ = _lu_pair((6, 6, 6), 0)
+        noisy = _with_noise(rotated, 3e-10, np.random.default_rng(0))
+        first, second = _frames(state, noisy)
+        _, start = gauge_search(first, second, budget=0)
+        factors, residual = gauge_search(first, second)
+        assert start > 1e-9
+        assert residual <= 1e-9
+        mapped = np.einsum("ia,jb,kc,abc->ijk", *factors, state.amplitudes)
+        assert np.linalg.norm(mapped - noisy.amplitudes) <= 1e-9
 
     def test_deterministic_for_fixed_seed(self):
-        v = random_unitary(6, seed=8)
-        f1 = gauge_search(v, 2, 3, budget=60, seed=5)
-        f2 = gauge_search(v, 2, 3, budget=60, seed=5)
-        assert f1.defect == f2.defect
+        state = random_state((3, 3, 3), seed=8)
+        frames = _frames(state, TripartiteState(state.amplitudes.conj()))
+        f1, r1 = gauge_search(*frames, budget=60, seed=5)
+        f2, r2 = gauge_search(*frames, budget=60, seed=5)
+        assert r1 == r2
+        for u1, u2 in zip(f1, f2):
+            np.testing.assert_array_equal(u1, u2)
 
     def test_rejects_bad_shape(self):
+        frames = _frames(random_state((2, 2, 2), 1), random_state((2, 2, 3), 1))
         with pytest.raises(ValueError, match="shape"):
-            gauge_search(np.eye(4), 2, 3)
+            gauge_search(*frames)
 
 
 class TestCheckDi:
@@ -162,14 +193,13 @@ class TestCheckDi:
         assert decision.verdict is Verdict.INVARIANTS_DIFFER
         assert decision.witness.cut is Cut.A
 
-    def test_equal_cut_spectrum_but_inequivalent_is_inconclusive(self):
+    def test_equal_cut_spectrum_but_inequivalent_is_refuted_on_another_cut(self):
         # Shares the first cut's spectrum with the GHZ state but differs on
-        # the second cut, so no decomposable bridge exists; the single-cut
-        # check must stay honest and undecided.
+        # the second cut, which check_di compares too.
         first, _ = golden_pair_222()
         decision = check_di(first, ghz_state(), Cut.A, gauge_budget=300)
-        assert decision.verdict is Verdict.INCONCLUSIVE
-        assert decision.bridge.defect > 1e-8
+        assert decision.verdict is Verdict.INVARIANTS_DIFFER
+        assert decision.witness.cut is Cut.B
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -238,7 +268,7 @@ class TestDecideEquivalence:
         def refuse(*args, **kwargs):
             raise AssertionError("per-cut machinery used on a generic pair")
 
-        for name in ("bipartite_equivalent", "kron_factorize", "gauge_search"):
+        for name in (*PER_CUT, "_sweep"):
             monkeypatch.setattr(equivalence, name, refuse)
         for trial in range(3):
             state, rotated, _ = _lu_pair(dims, trial)
@@ -271,7 +301,8 @@ class TestDecideEquivalence:
         )
         decision = decide_equivalence(ghz, rotated, gauge_budget=0)
         assert decision.verdict is Verdict.INCONCLUSIVE
-        assert decision.bridge is not None
+        assert decision.bridge is None
+        assert decision.residual > 1e-9
 
     def test_degenerate_pair_with_budget_is_resolved(self):
         ghz = ghz_state()
@@ -292,12 +323,6 @@ class TestDecideEquivalence:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="mismatch"):
             decide_equivalence(random_state((2, 2, 2), 1), random_state((2, 2, 3), 1))
-
-    def test_attempts_recorded(self):
-        state, rotated, _ = _lu_pair((2, 2, 2), 1)
-        decision = decide_equivalence(state, rotated)
-        assert decision.attempts
-        assert decision.attempts[-1].defect <= 1e-8
 
 
 def _verdict_class(decision):
@@ -328,6 +353,113 @@ def test_lu_rotated_pairs_are_never_refuted(dims, trial):
             )
             assert np.linalg.norm(mapped - second.amplitudes) <= 1e-9
     assert _verdict_class(forward) == _verdict_class(backward)
+
+
+def _assert_certified(decision, first, second):
+    assert decision.verdict in EQUIVALENT_VERDICTS
+    for u in decision.local_factors:
+        assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-10
+    mapped = np.einsum("ia,jb,kc,abc->ijk", *decision.local_factors, first.amplitudes)
+    assert np.linalg.norm(mapped - second.amplitudes) <= 1e-9
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("per-cut machinery used")
+
+
+def _sparse_lu_pair(dims, seed):
+    """LU pair on a density-0.3 mask thinned so no two entries share two indices.
+
+    Every reduction of such a state is diagonal, so its frame core keeps the
+    mask's sparsity, which is what exposes the flood fill's anchoring rule.
+    """
+    rng = np.random.default_rng(seed)
+    mask = rng.random(dims) < 0.3
+    mask[tuple(rng.integers(d) for d in dims)] = True
+    kept = []
+    for index in rng.permutation(np.argwhere(mask)):
+        if all(np.count_nonzero(index == other) < 2 for other in kept):
+            kept.append(index)
+    amps = np.zeros(dims, dtype=complex)
+    for index in kept:
+        amps[tuple(index)] = rng.uniform(0.5, 1.0) * np.exp(2j * np.pi * rng.random())
+    state = TripartiteState.from_unnormalized(amps)
+    factors = (random_unitary(d, rng) for d in dims)
+    return state, apply_local_unitaries(state, *factors)
+
+
+def _frame_phase_ratio(state, partner):
+    first, second = _frames(state, partner)
+    chi = second.core * first.core.conj()
+    return chi / np.maximum(np.abs(chi), 1e-300), np.abs(first.core)
+
+
+# A pair whose frame phase ratios defeat the flood fill's anchoring rule.
+SPARSE_ANCHOR_PAIR = ((3, 3, 3), 0)
+
+
+def test_sparse_lu_pairs_hit_the_anchoring_rule():
+    chi, weight = _frame_phase_ratio(*_sparse_lu_pair(*SPARSE_ANCHOR_PAIR))
+    assert oracle_solve_phase_product(chi, weight) is None
+    assert equivalence._solve_phase_product(chi, weight) is not None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=SPARSE_ANCHOR_PAIR[0], seed=SPARSE_ANCHOR_PAIR[1])
+def test_sparse_lu_pairs_are_certified(dims, seed):
+    state, partner = _sparse_lu_pair(dims, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in PER_CUT:
+            patch.setattr(equivalence, name, _refuse)
+        decision = decide_equivalence(state, partner)
+    _assert_certified(decision, state, partner)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dims=st.one_of(
+        st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+        st.just("ghz4"),
+    ),
+    log_norm=st.floats(-13.0, np.log10(5e-10)),
+    seed=st.integers(0, 2**16),
+)
+def test_noisy_lu_pairs_are_certified(dims, log_norm, seed):
+    if dims == "ghz4":
+        state, rotated = _rotated_ghz(4, seed)
+    else:
+        state, rotated, _ = _lu_pair(dims, seed)
+    noisy = _with_noise(rotated, 10.0**log_norm, np.random.default_rng(seed))
+    _assert_certified(decide_equivalence(state, noisy), state, noisy)
+
+
+def _max_entangled_a(dims, rng):
+    k, m, n = dims
+    rows = random_unitary(m * n, rng)[:k]
+    return TripartiteState.from_unnormalized(rows.reshape(k, m, n))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["ghz3", "ghz4", (3, 3, 3), (4, 4, 4), (5, 3, 3)],
+    ids=["ghz3", "ghz4", "maxa-3x3x3", "maxa-4x4x4", "maxa-5x3x3"],
+)
+def test_degenerate_lu_pairs_are_certified(kind):
+    # GHZ states have fully degenerate reductions; the rows of a unitary make
+    # a state maximally entangled across cut A.
+    for trial in range(40):
+        if isinstance(kind, str):
+            state, rotated = _rotated_ghz(int(kind[-1]), 100 * trial)
+        else:
+            rng = np.random.default_rng([17, *kind, trial])
+            state = _max_entangled_a(kind, rng)
+            factors = (random_unitary(d, rng) for d in kind)
+            rotated = apply_local_unitaries(state, *factors)
+        _assert_certified(decide_equivalence(state, rotated), state, rotated)
 
 
 def _significance_mask(kind, dims, rng):
@@ -372,11 +504,11 @@ def test_phase_solver_matches_flood_fill(dims, kind, seed):
 
     new = equivalence._solve_phase_product(chi, weight)
     old = oracle_solve_phase_product(chi, weight)
-    assert (new is None) == (old is None)
-    if kind != "sparse":
-        assert new is not None
-    if new is not None:
-        assert _reproduces(new, chi, mask)
+    # An exact product always factors; the flood fill's anchoring rule misses
+    # some on sparse masks, so it is the reference only where it answers.
+    assert new is not None
+    assert _reproduces(new, chi, mask)
+    if old is not None:
         assert _reproduces(old, chi, mask)
 
     rotated = chi.copy()
@@ -384,7 +516,10 @@ def test_phase_solver_matches_flood_fill(dims, kind, seed):
     rotated[tuple(entries[rng.integers(len(entries))])] *= np.exp(1e-3j)
     new = equivalence._solve_phase_product(rotated, weight)
     old = oracle_solve_phase_product(rotated, weight)
-    assert (new is None) == (old is None)
+    if old is not None:
+        assert new is not None
+    if new is not None:
+        assert _reproduces(new, rotated, mask)
     if kind == "dense" and min(dims) >= 2:
         assert new is None
 

@@ -139,6 +139,8 @@ def oracle_solve_phase_product(chi, weight, cutoff=_PHASE_CUTOFF, tol=_PHASE_TOL
     Flood fill over the significant entries in index order: an entry with one
     unknown factor assigns it; when none has, the strongest entry with two
     or more unknowns anchors beta_s (and phi_p, if psi_q is unknown too) at 1.
+    That anchor is not always a gauge choice, so on some sparse masks this
+    returns None for a consistent product that the solver factors.
     """
     r, m, n = chi.shape
     limit = cutoff * float(weight.max())
