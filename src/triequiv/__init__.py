@@ -9,13 +9,11 @@ for Kronecker products are kept as library functions.
 
 from .equivalence import (
     BipartiteCertificate,
-    Bridge,
     CertificateError,
     SpectrumWitness,
     TripartiteDecision,
     Verdict,
     bipartite_equivalent,
-    bridge_split,
     check_di,
     decide_equivalence,
     gauge_search,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteCertificate",
-    "Bridge",
     "CertificateError",
     "Cut",
     "DEFAULT_TOLERANCES",
@@ -75,7 +72,6 @@ __all__ = [
     "Verdict",
     "apply_local_unitaries",
     "bipartite_equivalent",
-    "bridge_split",
     "check_di",
     "decide_equivalence",
     "gauge_search",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -14,7 +15,6 @@ from .equivalence import (
     EQUIVALENT_VERDICTS,
     TripartiteDecision,
     Verdict,
-    bridge_split,
     decide_equivalence,
 )
 from .fileio import (
@@ -50,7 +50,6 @@ _EXIT_FOR_VERDICT = {
 
 _CUT_LABEL = {Cut.A: "A|BC", Cut.B: "B|AC", Cut.C: "C|AB"}
 _CUT_LETTER = {Cut.A: "I", Cut.B: "J", Cut.C: "K"}
-_CUT_FOR_DIGIT = {"1": Cut.A, "2": Cut.B, "3": Cut.C}
 
 
 class UsageError(Exception):
@@ -65,28 +64,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _tolerances(args) -> Tolerances:
     return Tolerances(spectra=args.spec_tol, reconstruction=args.tol)
-
-
-def _parse_order(text: str, dims: tuple[int, int, int]) -> tuple[Cut, ...]:
-    if text == "auto":
-        # Smallest bridge space first: the certificate's bridge is the smallest.
-        return tuple(
-            sorted(Cut, key=lambda cut: np.prod(bridge_split(cut, dims)))
-        )
-    tokens = [t.strip() for t in text.split(",")]
-    if sorted(tokens) != ["1", "2", "3"]:
-        raise UsageError(f"--order must be a permutation of 1,2,3 or 'auto', got {text!r}")
-    return tuple(_CUT_FOR_DIGIT[t] for t in tokens)
-
-
-def _tolerance_dict(tols: Tolerances) -> dict:
-    return {
-        "norm": tols.norm,
-        "unitarity": tols.unitarity,
-        "spectra": tols.spectra,
-        "reconstruction": tols.reconstruction,
-        "invariant": tols.invariant,
-    }
 
 
 # ---------------------------------------------------------------- invariants
@@ -150,14 +127,10 @@ def _decision_report(
             "first": {},
             "second": {},
         },
-        "bridge_defects": {}
-        if decision.bridge is None
-        else {decision.bridge.cut.value: decision.bridge.defect},
         "residual": decision.residual,
-        "tolerances": _tolerance_dict(tols),
+        "tolerances": dataclasses.asdict(tols),
         "elapsed_seconds": elapsed,
         "certificate": None,
-        "bridge": None,
         "witness": None,
     }
     for cut in Cut:
@@ -175,13 +148,6 @@ def _decision_report(
             "u3": matrix_pairs(u3),
             "residual": decision.residual,
         }
-    if decision.bridge is not None:
-        report["bridge"] = {
-            "cut": decision.bridge.cut.value,
-            "row_unitary": matrix_pairs(decision.bridge.u),
-            "column_unitary": matrix_pairs(decision.bridge.v),
-            "defect": decision.bridge.defect,
-        }
     if decision.witness is not None:
         report["witness"] = {
             "cut": decision.witness.cut.value,
@@ -195,11 +161,7 @@ def _decision_report(
 def _decision_text(decision: TripartiteDecision, inputs: tuple[str, str]) -> str:
     lines = [f"{inputs[0]} vs {inputs[1]}: {decision.verdict.value}"]
     if decision.verdict in EQUIVALENT_VERDICTS:
-        lines.append(
-            f"  residual: {decision.residual:.3e}"
-            f"   bridge defect: {decision.bridge.defect:.3e}"
-            f" (cut {decision.bridge.cut.value})"
-        )
+        lines.append(f"  residual: {decision.residual:.3e}")
     elif decision.verdict is Verdict.INVARIANTS_DIFFER:
         w = decision.witness
         lines.append(
@@ -216,15 +178,9 @@ def _run_pair(pair, args, tols) -> tuple[str | dict, int]:
     first_path, second_path = pair
     state = load_state(first_path, strict=args.strict)
     other = load_state(second_path, strict=args.strict)
-    order = _parse_order(args.order, state.dims)
     start = time.perf_counter()
     decision = decide_equivalence(
-        state,
-        other,
-        tols=tols,
-        order=order,
-        gauge_budget=args.gauge_iters,
-        seed=args.seed,
+        state, other, tols=tols, gauge_budget=args.gauge_iters, seed=args.seed
     )
     elapsed = time.perf_counter() - start
     inputs = (str(first_path), str(second_path))
@@ -372,12 +328,6 @@ def build_parser() -> _Parser:
         type=int,
         default=DEFAULT_GAUGE_BUDGET,
         help="gauge search budget in sweeps (0 disables)",
-    )
-    p_check.add_argument(
-        "--order",
-        default="1,2,3",
-        help="permutation of 1,2,3 or 'auto' (smallest bridge first); "
-        "the certificate is reported under its first cut",
     )
     p_check.add_argument("--strict", action="store_true", help="reject off-norm input")
     p_check.add_argument("--json", action="store_true", help="emit JSON reports")

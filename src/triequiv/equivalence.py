@@ -6,14 +6,14 @@ higher-order SVD).  A local unitary map between two states is block-diagonal
 between their frames, one block per eigenvalue group, and carries one core
 onto the other.  ``gauge_search`` looks for those blocks: in closed form when
 every group is a single vector, otherwise by alternating per-party Procrustes
-sweeps on the two cores.  Every positive verdict is re-verified against the
-raw amplitude tensors, and a negative verdict needs a cut whose singular
-spectra differ.
+sweeps on the two cores.  The answer to an equivalent pair is the certificate
+(U_A, U_B, U_C), re-verified against the raw amplitude tensors; a negative
+verdict needs a cut whose singular spectra differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -60,16 +60,6 @@ VERDICT_FOR_CUT = {
 EQUIVALENT_VERDICTS = frozenset(VERDICT_FOR_CUT.values())
 
 
-def bridge_split(cut: Cut, dims: tuple[int, int, int]) -> tuple[int, int]:
-    """Factor dimensions (m, n) of the column-side bridge unitary for a cut."""
-    k, m, n = dims
-    if cut is Cut.A:
-        return m, n
-    if cut is Cut.B:
-        return k, n
-    return k, m
-
-
 @dataclass(frozen=True)
 class SpectrumWitness:
     """Spectrum position at which two states (or two matrices) provably differ.
@@ -103,20 +93,6 @@ class CertificateError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Bridge:
-    """Certified row/column unitary pair for one cut.
-
-    ``defect`` is the Kronecker defect of the column unitary, which is built
-    as a Kronecker product and so reads 0.
-    """
-
-    cut: Cut
-    u: np.ndarray
-    v: np.ndarray
-    defect: float
-
-
-@dataclass(frozen=True)
 class StateFrame:
     """Eigenbases of the three one-party reductions and the core tensor in them.
 
@@ -136,13 +112,14 @@ class StateFrame:
 class TripartiteDecision:
     """Outcome of the equivalence decision, with certificate or witness.
 
-    ``residual`` is the certificate's reconstruction residual, or for an
-    inconclusive decision the lowest residual the search reached.
+    ``local_factors`` is the certificate (U_A, U_B, U_C) of an equivalent
+    verdict, and ``residual`` its reconstruction residual against the raw
+    tensors; for an inconclusive decision ``residual`` is the lowest residual
+    the search reached.
     """
 
     verdict: Verdict
     local_factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    bridge: Bridge | None = None
     residual: float | None = None
     witness: SpectrumWitness | None = None
 
@@ -371,41 +348,26 @@ def gauge_search(
 def _certify(
     state: TripartiteState,
     other: TripartiteState,
-    cut: Cut,
     factors: tuple[np.ndarray, np.ndarray, np.ndarray],
     tols: Tolerances,
 ) -> TripartiteDecision | None:
-    """Verified decision under ``cut`` from candidate local factors, or None.
+    """Verified decision from candidate local factors, or None.
 
-    The two factors off the cut are snapped to exact unitaries and form the
-    bridge ``kron(U_j, U_k)``, a Kronecker product by construction (defect
-    0); the cut's own factor is recomputed by Procrustes.  The verdict stands
-    only if the three local unitaries map the raw amplitude tensor onto the
-    second state within the reconstruction tolerance.
+    U_B and U_C are snapped to exact unitaries and U_A is recomputed by
+    Procrustes against the raw cut-A matricizations.  The verdict stands only
+    if the three local unitaries map the raw amplitude tensor onto the second
+    state within the reconstruction tolerance.
     """
-    u_left, u_right = (
-        _polar_unitary(u) for u, party in zip(factors, Cut) if party is not cut
-    )
-    v_bridge = np.kron(u_left, u_right)
-    mapped_rows = matricize(state, cut) @ v_bridge.T
-    u_bridge = _polar_unitary(matricize(other, cut) @ mapped_rows.conj().T)
-
-    if cut is Cut.A:
-        factors = (u_bridge, u_left, u_right)
-    elif cut is Cut.B:
-        factors = (u_left, u_bridge, u_right)
-    else:
-        factors = (u_left, u_right, u_bridge)
-
+    u_b, u_c = (_polar_unitary(u) for u in factors[1:])
+    mapped_rows = matricize(state, Cut.A) @ np.kron(u_b, u_c).T
+    u_a = _polar_unitary(matricize(other, Cut.A) @ mapped_rows.conj().T)
+    factors = (u_a, u_b, u_c)
     mapped = apply_local_unitaries(state, *factors, unitarity_tol=tols.unitarity)
     residual = float(np.linalg.norm(mapped.amplitudes - other.amplitudes))
     if residual > tols.reconstruction:
         return None
     return TripartiteDecision(
-        verdict=VERDICT_FOR_CUT[cut],
-        local_factors=factors,
-        bridge=Bridge(cut=cut, u=u_bridge, v=v_bridge, defect=0.0),
-        residual=residual,
+        verdict=Verdict.EQUIVALENT_D1, local_factors=factors, residual=residual
     )
 
 
@@ -434,41 +396,38 @@ def check_di(
     gauge_budget: int = DEFAULT_GAUGE_BUDGET,
     seed: int = 0,
 ) -> TripartiteDecision:
-    """:func:`decide_equivalence` with its certificate reported under ``cut``.
+    """:func:`decide_equivalence` with an equivalent verdict labelled by ``cut``.
 
-    The spectra of all three cuts are still compared, so a pair may be
-    refuted through a cut other than ``cut``.
+    An equivalent decision keeps its certificate and residual and takes the
+    verdict ``VERDICT_FOR_CUT[cut]``; any other decision passes through
+    unchanged, so a pair may be refuted through a cut other than ``cut``.
     """
-    return decide_equivalence(
-        state, other, tols, order=(cut,), gauge_budget=gauge_budget, seed=seed
-    )
+    decision = decide_equivalence(state, other, tols, gauge_budget, seed)
+    if decision.verdict in EQUIVALENT_VERDICTS:
+        return replace(decision, verdict=VERDICT_FOR_CUT[cut])
+    return decision
 
 
 def decide_equivalence(
     state: TripartiteState,
     other: TripartiteState,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    order: tuple[Cut, ...] | None = None,
     gauge_budget: int = DEFAULT_GAUGE_BUDGET,
     seed: int = 0,
 ) -> TripartiteDecision:
     """Full decision: spectra on all three cuts, then one search in the frames.
 
     Any cut with differing singular spectra proves inequivalence outright, so
-    the spectra of cuts A, B and C are compared first, whatever ``order``
-    says.  Otherwise each state is put into its frame once and
-    :func:`gauge_search` spends at most ``gauge_budget`` sweeps looking for
-    local unitaries between them.  A candidate whose frame residual passes is
-    re-verified against the raw tensors and reported under the first cut of
-    ``order`` (default A; the rest of ``order`` is not used).  Anything else
-    is ``INCONCLUSIVE`` with the lowest residual reached - never a claim of
-    inequivalence.
+    the spectra of cuts A, B and C are compared first.  Otherwise each state
+    is put into its frame once and :func:`gauge_search` spends at most
+    ``gauge_budget`` sweeps looking for local unitaries between them.  A
+    candidate whose frame residual passes is re-verified against the raw
+    tensors by :func:`_certify` and returned as ``EQUIVALENT_D1`` with the
+    certificate (U_A, U_B, U_C).  Anything else is ``INCONCLUSIVE`` with the
+    lowest residual reached - never a claim of inequivalence.
     """
     if state.dims != other.dims:
         raise ValueError(f"dimension mismatch: {state.dims} vs {other.dims}")
-    cuts = tuple(order) if order is not None else tuple(Cut)
-    if not cuts:
-        raise ValueError("order must name at least one cut")
 
     for cut in Cut:
         sa = singular_spectrum(state, cut)
@@ -487,7 +446,7 @@ def decide_equivalence(
         _state_frame(state), _state_frame(other), gauge_budget, tols, seed
     )
     if residual <= tols.reconstruction:
-        decision = _certify(state, other, cuts[0], factors, tols)
+        decision = _certify(state, other, factors, tols)
         if decision is not None:
             return decision
     return TripartiteDecision(verdict=Verdict.INCONCLUSIVE, residual=residual)

@@ -26,7 +26,7 @@ import numpy as np
 from .states import TripartiteState
 from .tolerances import NORM_TOL
 
-DECISION_SCHEMA = "triequiv.decision/1"
+DECISION_SCHEMA = "triequiv.decision/2"
 INVARIANTS_SCHEMA = "triequiv.invariants/1"
 FACTORIZE_SCHEMA = "triequiv.factorize/1"
 

@@ -35,11 +35,9 @@ class Tolerances:
     up to a dimension factor.
     """
 
-    norm: float = NORM_TOL
     unitarity: float = UNITARITY_TOL
     spectra: float = SPECTRA_TOL
     reconstruction: float = RECON_TOL
-    invariant: float = INVARIANT_TOL
 
 
 DEFAULT_TOLERANCES = Tolerances()

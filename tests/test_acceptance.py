@@ -14,7 +14,7 @@ import pytest
 
 from triequiv.cli import main
 from triequiv.equivalence import EQUIVALENT_VERDICTS, Verdict, decide_equivalence
-from triequiv.fileio import serialize_state
+from triequiv.fileio import matrix_from_pairs, serialize_state
 from triequiv.invariants import (
     invariants_equal,
     nested_invariant,
@@ -89,8 +89,11 @@ def test_golden_qubit_pair(tmp_path, capsys):
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["verdict"] == "equivalent-d1"
-        assert report["bridge"]["defect"] <= 1e-10
         assert report["residual"] <= 1e-10
+        certificate = report["certificate"]
+        factors = [matrix_from_pairs(certificate[u]) for u in ("u1", "u2", "u3")]
+        mapped = kron_apply(*factors, first)
+        assert np.linalg.norm(mapped - second.amplitudes.reshape(-1)) <= 1e-10
         assert elapsed < 1.0
 
 

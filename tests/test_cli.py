@@ -1,12 +1,21 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from triequiv.cli import main
-from triequiv.fileio import serialize_matrix, serialize_state
+from triequiv.fileio import matrix_from_pairs, serialize_matrix, serialize_state
 from triequiv.states import apply_local_unitaries, random_unitary
-from util import basis_state, ghz_state, golden_pair_222, golden_pair_223, swap_gate
+from triequiv.tolerances import Tolerances
+from util import (
+    basis_state,
+    ghz_state,
+    golden_pair_222,
+    golden_pair_223,
+    kron_apply,
+    swap_gate,
+)
 
 
 @pytest.fixture
@@ -88,8 +97,8 @@ class TestCheckCommand:
         assert main(["check", str(p1), str(p2), "--gauge-iters", "0", "--json"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "inconclusive"
-        assert report["certificate"] is None and report["bridge"] is None
-        assert report["bridge_defects"] == {}
+        assert report["certificate"] is None
+        assert "bridge" not in report and "bridge_defects" not in report
         assert report["residual"] > 1e-9
         assert "rank_one" not in report["tolerances"]
         assert main(["check", str(p1), str(p2), "--gauge-iters", "0"]) == 2
@@ -101,11 +110,21 @@ class TestCheckCommand:
     def test_json_report(self, golden_files, capsys):
         assert main(["check", *golden_files, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "triequiv.decision/1"
+        assert report["schema"] == "triequiv.decision/2"
         assert report["verdict"] == "equivalent-d1"
         assert report["residual"] <= 1e-9
-        assert report["certificate"] is not None
-        assert report["bridge"]["defect"] <= 1e-10
+        certificate = report["certificate"]
+        factors = [matrix_from_pairs(certificate[u]) for u in ("u1", "u2", "u3")]
+        first, second = golden_pair_222()
+        mapped = kron_apply(*factors, first)
+        assert np.linalg.norm(mapped - second.amplitudes.reshape(-1)) <= 1e-9
+
+    def test_json_tolerances_are_the_tolerance_fields(self, golden_files, capsys):
+        assert main(["check", *golden_files, "--json", "--tol", "2e-9"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        fields = {field.name for field in dataclasses.fields(Tolerances)}
+        assert set(report["tolerances"]) == fields
+        assert report["tolerances"]["reconstruction"] == 2e-9
 
     def test_multiple_pairs_and_jobs(self, golden_files, tmp_path, capsys):
         p1 = tmp_path / "p.state"
@@ -120,11 +139,8 @@ class TestCheckCommand:
     def test_odd_path_count_usage_error(self, golden_files):
         assert main(["check", golden_files[0]]) == 64
 
-    def test_bad_order_usage_error(self, golden_files):
-        assert main(["check", *golden_files, "--order", "1,1,2"]) == 64
-
-    def test_order_auto(self, golden_files):
-        assert main(["check", *golden_files, "--order", "auto"]) == 0
+    def test_order_is_not_a_check_option(self, golden_files):
+        assert main(["check", *golden_files, "--order", "1,2,3"]) == 64
 
     def test_strict_rejects_off_norm(self, tmp_path):
         off = tmp_path / "off.state"

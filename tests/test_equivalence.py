@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from triequiv import equivalence
 from triequiv.equivalence import (
     EQUIVALENT_VERDICTS,
+    VERDICT_FOR_CUT,
     CertificateError,
     SpectrumWitness,
     Verdict,
     bipartite_equivalent,
-    bridge_split,
     check_di,
     decide_equivalence,
     gauge_search,
@@ -169,7 +169,8 @@ class TestCheckDi:
         decision = check_di(first, second, Cut.A)
         assert decision.verdict is Verdict.EQUIVALENT_D1
         assert decision.residual <= 1e-10
-        assert decision.bridge.defect <= 1e-10
+        mapped = kron_apply(*decision.local_factors, first)
+        assert np.linalg.norm(mapped - second.amplitudes.reshape(-1)) <= 1e-10
         for factor in decision.local_factors:
             assert unitarity_defect(factor) <= 1e-10
 
@@ -204,6 +205,33 @@ class TestCheckDi:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="mismatch"):
             check_di(random_state((2, 2, 2), 1), random_state((2, 2, 3), 1), Cut.A)
+
+    @pytest.mark.parametrize("cut", list(Cut))
+    @pytest.mark.parametrize("pair", ["golden-222", "golden-223", "generic-345"])
+    def test_cut_only_labels_the_verdict(self, cut, pair):
+        first, second = {
+            "golden-222": golden_pair_222,
+            "golden-223": golden_pair_223,
+            "generic-345": lambda: _lu_pair((3, 4, 5), 0)[:2],
+        }[pair]()
+        labelled = check_di(first, second, cut)
+        decision = decide_equivalence(first, second)
+        assert decision.verdict is Verdict.EQUIVALENT_D1
+        assert labelled.verdict is VERDICT_FOR_CUT[cut]
+        assert labelled.residual == decision.residual
+        for u, v in zip(labelled.local_factors, decision.local_factors):
+            np.testing.assert_array_equal(u, v)
+
+    @pytest.mark.parametrize("cut", list(Cut))
+    def test_other_verdicts_pass_through(self, cut):
+        ghz, rotated = _rotated_ghz()
+        for first, second, budget, verdict in (
+            (basis_state((2, 2, 2), (0, 0, 0)), ghz, 1000, Verdict.INVARIANTS_DIFFER),
+            (ghz, rotated, 0, Verdict.INCONCLUSIVE),
+        ):
+            decision = decide_equivalence(first, second, gauge_budget=budget)
+            assert decision.verdict is verdict
+            assert check_di(first, second, cut, gauge_budget=budget) == decision
 
 
 class TestDecideEquivalence:
@@ -251,16 +279,15 @@ class TestDecideEquivalence:
             assert (forward.verdict in equivalent) == (backward.verdict in equivalent)
 
     def test_spectra_checked_on_every_cut_whatever_the_order(self):
-        # Cut A's spectra agree; only cut B's prove the pair inequivalent.
+        # Cut A's spectra agree; only cut B's prove the pair inequivalent,
+        # whichever cut the verdict is to be labelled by.
         first, _ = golden_pair_222()
-        decision = decide_equivalence(first, ghz_state(), order=(Cut.A,))
-        assert decision.verdict is Verdict.INVARIANTS_DIFFER
-        assert decision.witness.cut is Cut.B
-
-    def test_empty_order_rejected(self):
-        state, rotated, _ = _lu_pair((2, 2, 2), 0)
-        with pytest.raises(ValueError, match="order"):
-            decide_equivalence(state, rotated, order=())
+        for decision in (
+            decide_equivalence(first, ghz_state()),
+            *(check_di(first, ghz_state(), cut) for cut in Cut),
+        ):
+            assert decision.verdict is Verdict.INVARIANTS_DIFFER
+            assert decision.witness.cut is Cut.B
 
     @pytest.mark.parametrize("dims", [(3, 4, 5), (5, 2, 2), (1, 3, 4)])
     def test_generic_pairs_decided_from_frames_alone(self, dims, monkeypatch):
@@ -274,19 +301,8 @@ class TestDecideEquivalence:
             state, rotated, _ = _lu_pair(dims, trial)
             decision = decide_equivalence(state, rotated)
             assert decision.verdict is Verdict.EQUIVALENT_D1
-            assert decision.bridge.defect == 0.0
             mapped = kron_apply(*decision.local_factors, state)
             assert np.linalg.norm(mapped - rotated.amplitudes.reshape(-1)) <= 1e-9
-            assert check_di(state, rotated, Cut.B).verdict is Verdict.EQUIVALENT_D2
-
-    def test_custom_cut_order(self):
-        state, rotated, _ = _lu_pair((2, 2, 2), 0)
-        decision = decide_equivalence(state, rotated, order=(Cut.C, Cut.B, Cut.A))
-        assert decision.verdict in (
-            Verdict.EQUIVALENT_D1,
-            Verdict.EQUIVALENT_D2,
-            Verdict.EQUIVALENT_D3,
-        )
 
     def test_degenerate_pair_without_budget_is_inconclusive(self):
         # A maximally entangled pair has fully degenerate reductions, which
@@ -301,7 +317,7 @@ class TestDecideEquivalence:
         )
         decision = decide_equivalence(ghz, rotated, gauge_budget=0)
         assert decision.verdict is Verdict.INCONCLUSIVE
-        assert decision.bridge is None
+        assert decision.local_factors is None
         assert decision.residual > 1e-9
 
     def test_degenerate_pair_with_budget_is_resolved(self):
@@ -522,11 +538,3 @@ def test_phase_solver_matches_flood_fill(dims, kind, seed):
         assert _reproduces(new, rotated, mask)
     if kind == "dense" and min(dims) >= 2:
         assert new is None
-
-
-class TestBridgeSplit:
-    def test_splits_per_cut(self):
-        dims = (2, 3, 4)
-        assert bridge_split(Cut.A, dims) == (3, 4)
-        assert bridge_split(Cut.B, dims) == (2, 4)
-        assert bridge_split(Cut.C, dims) == (2, 3)

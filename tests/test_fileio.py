@@ -317,7 +317,7 @@ class TestSeventeenDigits:
 class TestReports:
     def test_json_round_trip(self):
         report = {
-            "schema": "triequiv.decision/1",
+            "schema": "triequiv.decision/2",
             "verdict": "equivalent-d1",
             "residual": 1.25e-12,
             "power_sums": {"first": {"A": [1.0, 0.5]}},
