@@ -10,6 +10,7 @@ for Kronecker products are kept as library functions.
 from .equivalence import (
     BipartiteCertificate,
     CertificateError,
+    PhaseObstruction,
     SpectrumWitness,
     TripartiteDecision,
     Verdict,
@@ -64,6 +65,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "InvariantVector",
     "KronFactorization",
+    "PhaseObstruction",
     "SpectrumWitness",
     "StateFormatError",
     "Tolerances",

@@ -5,10 +5,14 @@ reductions, grouped by eigenvalue, and the core tensor in those bases (the
 higher-order SVD).  A local unitary map between two states is block-diagonal
 between their frames, one block per eigenvalue group, and carries one core
 onto the other.  ``gauge_search`` looks for those blocks: in closed form when
-every group is a single vector, otherwise by alternating per-party Procrustes
-sweeps on the two cores.  The answer to an equivalent pair is the certificate
-(U_A, U_B, U_C), re-verified against the raw amplitude tensors; a negative
-verdict needs a cut whose singular spectra differ.
+at most one party has a group of several vectors, otherwise (or under noise)
+by alternating per-party Procrustes sweeps on the two cores.  When every
+group is a single vector and the phases admit no solution, a cycle of core
+entries whose phase product is off by more than noise within the tolerance
+can explain ends the search before any sweep.  The answer to an equivalent
+pair is the certificate (U_A, U_B, U_C), re-verified against the raw
+amplitude tensors; a negative verdict needs a cut whose singular spectra
+differ.
 """
 
 from __future__ import annotations
@@ -93,17 +97,39 @@ class CertificateError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class PhaseObstruction:
+    """A cycle of core entries whose phases no local unitary map within tolerance fits.
+
+    ``entries`` are core indices (s, p, q) of the first frame and
+    ``coefficients`` integers y_e with sum_e y_e (e_s + e_p + e_q) = 0, so the
+    holonomy wrap(sum_e y_e theta_e) of the phase ratios theta_e of the two
+    cores does not depend on the phases the two frames' eigenvectors carry.
+    A map within the reconstruction tolerance moves each theta_e by at most
+    2 beta / |core_e| from a product of per-party phases, where beta bounds
+    the core error it leaves (Davis-Kahan, from the reduction gaps), so its
+    cycles stay within ``bound`` = sum_e |y_e| 2 beta / |core_e|; this one's
+    ``holonomy`` exceeds it.
+    """
+
+    entries: tuple[tuple[int, int, int], ...]
+    coefficients: tuple[int, ...]
+    holonomy: float
+    bound: float
+
+
+@dataclass(frozen=True)
 class StateFrame:
     """Eigenbases of the three one-party reductions and the core tensor in them.
 
-    ``bases[p]`` holds party p's eigenvectors as columns, eigenvalues
-    descending.  ``groups[p]`` splits their indices into runs of eigenvalues
-    above ``_EIG_GAP`` that lie closer than ``_EIG_GAP``; every smaller
-    eigenvalue is a group of its own, as the state has (almost) no weight
-    there.
+    ``bases[p]`` holds party p's eigenvectors as columns, and
+    ``eigenvalues[p]`` their eigenvalues, descending.  ``groups[p]`` splits
+    their indices into runs of eigenvalues above ``_EIG_GAP`` that lie closer
+    than ``_EIG_GAP``; every smaller eigenvalue is a group of its own, as the
+    state has (almost) no weight there.
     """
 
     bases: tuple[np.ndarray, np.ndarray, np.ndarray]
+    eigenvalues: tuple[np.ndarray, np.ndarray, np.ndarray]
     core: np.ndarray
     groups: tuple[tuple[slice, ...], ...]
 
@@ -115,13 +141,16 @@ class TripartiteDecision:
     ``local_factors`` is the certificate (U_A, U_B, U_C) of an equivalent
     verdict, and ``residual`` its reconstruction residual against the raw
     tensors; for an inconclusive decision ``residual`` is the lowest residual
-    the search reached.
+    the search reached.  ``obstruction`` is set on an inconclusive decision
+    whose search stopped before any sweep because the phases of the two cores
+    admit no map within the tolerance; it is not a claim of inequivalence.
     """
 
     verdict: Verdict
     local_factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     residual: float | None = None
     witness: SpectrumWitness | None = None
+    obstruction: PhaseObstruction | None = None
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -167,15 +196,27 @@ def bipartite_equivalent(
     return BipartiteCertificate(u=u_cert, v=v_cert, sigma=sa.copy(), residual=residual)
 
 
-def _solve_angles(coef: np.ndarray, angle: np.ndarray) -> np.ndarray:
+def _phase_ratio(after: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """Unit complex numbers with the phases of after / before, entrywise."""
+    chi = after * before.conj()
+    return chi / np.maximum(np.abs(chi), 1e-300)
+
+
+def _solve_angles(
+    coef: np.ndarray, angle: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Angles x with coef @ x = angle (mod 2 pi), for integer-valued ``coef``.
 
     Integer row operations (Euclid on each column) bring the system to
     echelon form without changing its solutions mod 2 pi; back substitution
     then sets every non-pivot unknown to 0 and takes one root for a pivot
-    coefficient above 1.  Rows left all zero are not checked here.
+    coefficient above 1.  The rows left all zero give the cycles: the same
+    operations applied to the identity turn them into integer vectors y with
+    y @ coef = 0, a basis of all such, and the system is solvable mod 2 pi
+    exactly when every y @ angle is.  Returns x and the cycles as rows.
     """
     coef, angle = coef.copy(), angle.copy()
+    combo = np.eye(coef.shape[0])
     pivots: list[int] = []
     for col in range(coef.shape[1]):
         top = len(pivots)
@@ -184,7 +225,9 @@ def _solve_angles(coef: np.ndarray, angle: np.ndarray) -> np.ndarray:
             if not rows.size:
                 break
             k = rows[np.argmin(np.abs(coef[rows, col]))]
-            coef[[top, k]], angle[[top, k]] = coef[[k, top]], angle[[k, top]]
+            coef[[top, k]], angle[[top, k]], combo[[top, k]] = (
+                coef[[k, top]], angle[[k, top]], combo[[k, top]]
+            )
             rows = top + 1 + np.flatnonzero(coef[top + 1 :, col])
             if not rows.size:
                 pivots.append(col)
@@ -192,13 +235,14 @@ def _solve_angles(coef: np.ndarray, angle: np.ndarray) -> np.ndarray:
             factor = coef[rows, col] // coef[top, col]
             coef[rows] -= factor[:, None] * coef[top]
             angle[rows] -= factor * angle[top]
+            combo[rows] -= factor[:, None] * combo[top]
     x = np.zeros(coef.shape[1])
     for row, col in reversed(list(enumerate(pivots))):
         x[col] = (angle[row] - coef[row] @ x) / coef[row, col]
-    return x
+    return x, combo[len(pivots) :]
 
 
-def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple | None:
+def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     """Factor chi[s,p,q] = beta_s * phi_p * psi_q over significant entries.
 
     ``chi`` holds unit complex numbers; entries whose ``weight`` falls below
@@ -209,8 +253,16 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple | None:
     entry's beta_s and phi_p are set to 1, a gauge choice.  Later a factor
     set to 1 could lie on a cycle of entries that fixes it up to a root of
     unity, so the open entries are solved exactly instead, by
-    :func:`_solve_angles`.  Returns (beta, phi, psi) or None on
-    inconsistency.
+    :func:`_solve_angles`.
+
+    Returns (beta, phi, psi) and None, or on inconsistency the factors as
+    assigned (every entry that fixed a factor holds) and a cycle.  The
+    cycle comes from the angle equations of the entries that fixed a factor,
+    the open entries and the failing entry whose phase error, scaled by its
+    weight, is largest: of the cycles :func:`_solve_angles` gives for them,
+    the one whose holonomy is largest against sum_e |y_e| / weight_e.  It is
+    (index, y, holonomy): the (s, p, q) rows of its entries, their integer
+    coefficients y_e, and wrap(sum_e y_e arg chi_e).
     """
     r, m, n = chi.shape
     significant = weight > _PHASE_CUTOFF * float(weight.max())
@@ -221,6 +273,8 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple | None:
     target = chi[s, p, q][strongest]
     value = np.ones(r + m + n, dtype=np.complex128)
     known = np.zeros(r + m + n, dtype=bool)
+    # Entries whose angle equation fixed a factor: the cycles live on these.
+    used = np.zeros(target.size, dtype=bool)
     while True:
         unknown = ~known[nodes]
         missing = unknown.sum(axis=0)
@@ -232,6 +286,7 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple | None:
             others = np.where(unknown[:, entries], 1.0, value[nodes[:, entries]])
             value[free] = target[entries] / others.prod(axis=0)
             known[free] = True
+            used[entries] = True
             continue
         open_entries = np.flatnonzero(missing)
         if not open_entries.size:
@@ -249,12 +304,26 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple | None:
         coef[np.nonzero(hit)[1], np.searchsorted(free, sub[hit])] = 1
         rest = np.where(hit, 1.0, value[sub]).prod(axis=0)
         angle = np.angle(target[open_entries] / rest)
-        value[free] = np.exp(1j * _solve_angles(coef, angle))
+        value[free] = np.exp(1j * _solve_angles(coef, angle)[0])
         known[free] = True
+        used[open_entries] = True
     product = value[nodes[0]] * value[nodes[1]] * value[nodes[2]]
-    if np.any(np.abs(target - product) > _PHASE_TOL):
-        return None
-    return value[:r], value[r : r + m], value[r + m :]
+    miss = np.abs(target - product)
+    phases = value[:r], value[r : r + m], value[r + m :]
+    if not np.any(miss > _PHASE_TOL):
+        return phases, None
+    strength = weight[s, p, q][strongest]
+    used[np.argmax(np.where(miss > _PHASE_TOL, miss * strength, 0.0))] = True
+    rows = np.flatnonzero(used)
+    coef = np.zeros((rows.size, value.size))
+    coef[np.arange(rows.size), nodes[:, rows]] = 1
+    theta = np.angle(target[rows])
+    _, cycles = _solve_angles(coef, theta)
+    holonomy = np.angle(np.exp(1j * (cycles @ theta)))
+    best = np.argmax(np.abs(holonomy) / (np.abs(cycles) @ (1.0 / strength[rows])))
+    keep = np.flatnonzero(cycles[best])
+    index = (nodes[:, rows[keep]] - np.array([[0], [r], [r + m]])).T
+    return phases, (index, cycles[best, keep].astype(int), float(holonomy[best]))
 
 
 def _sweep(core: np.ndarray, unfolded: tuple, g: list) -> float:
@@ -277,6 +346,39 @@ def _sweep(core: np.ndarray, unfolded: tuple, g: list) -> float:
     return float(np.linalg.norm(t_c - x @ g[2].T))
 
 
+def _one_block_start(
+    core: np.ndarray, target: np.ndarray, p: int
+) -> tuple[list[np.ndarray], float]:
+    """Closed-form start when only party p has a group of several vectors.
+
+    The other two parties' G are then diagonal phases phi, psi, and with X
+    and T the cores unfolded along p, T = G_p X D for D = diag(phi (x) psi),
+    so T^dagger T = D^* X^dagger X D: the phase ratios of the two Gram
+    matrices are conj(d_j) d_k.  They are factored on the Gram rows of the
+    strongest column for each index of the two parties, and G_p is the
+    Procrustes optimum polar(T (X D)^dagger).  Returns the three G and the
+    residual ||T - G_p X D||.
+    """
+    x = np.moveaxis(core, p, 0)
+    pair = x.shape[1:]
+    x = x.reshape(x.shape[0], -1)
+    t = np.moveaxis(target, p, 0).reshape(x.shape)
+    strength = np.linalg.norm(x, axis=0).reshape(pair)
+    rows = np.zeros(pair, dtype=bool)
+    rows[np.arange(pair[0]), strength.argmax(axis=1)] = True
+    rows[strength.argmax(axis=0), np.arange(pair[1])] = True
+    rows = np.flatnonzero(rows)
+    gram, gram_t = x[:, rows].conj().T @ x, t[:, rows].conj().T @ t
+    (_, phi, psi), _ = _solve_phase_product(
+        _phase_ratio(gram_t, gram).reshape(-1, *pair), np.abs(gram).reshape(-1, *pair)
+    )
+    mapped = x * np.outer(phi, psi).ravel()
+    g_p = _polar_unitary(t @ mapped.conj().T)
+    g = [np.diag(phi), np.diag(psi)]
+    g.insert(p, g_p)
+    return g, float(np.linalg.norm(t - g_p @ mapped))
+
+
 def _block_unitary(groups: tuple[slice, ...], rng: np.random.Generator) -> np.ndarray:
     """Random unitary that is block-diagonal over ``groups``."""
     dim = groups[-1].stop
@@ -286,13 +388,46 @@ def _block_unitary(groups: tuple[slice, ...], rng: np.random.Generator) -> np.nd
     return h
 
 
+def _obstruction(
+    frame: StateFrame, cycle: tuple, tols: Tolerances
+) -> PhaseObstruction | None:
+    """The cycle as an obstruction, if its holonomy exceeds what noise allows.
+
+    A map within tau = ``tols.reconstruction`` perturbs each reduction by at
+    most 2 tau + tau^2, which turns the eigenvectors of party p the cycle
+    touches by at most 2 (2 tau + tau^2) / delta_p (Davis-Kahan), delta_p
+    their smallest eigenvalue gap.  In the frames the map is then diagonal
+    phases up to a core error beta = tau + sum_p sqrt(d_p) 2 (2 tau + tau^2)
+    / delta_p, which moves the phase of core entry e by at most
+    2 beta / |core_e|.
+    """
+    index, coefficients, holonomy = cycle
+    tau = tols.reconstruction
+    beta = tau
+    for vals, touched in zip(frame.eigenvalues, index.T):
+        step = np.abs(np.diff(vals))
+        gap = np.minimum(np.append(step, np.inf), np.insert(step, 0, np.inf))
+        with np.errstate(divide="ignore"):
+            beta += np.sqrt(vals.size) * 2 * (2 * tau + tau**2) / gap[touched].min()
+    weight = np.abs(frame.core[tuple(index.T)])
+    bound = float(np.sum(np.abs(coefficients) * 2 * beta / weight))
+    if not abs(holonomy) > bound:
+        return None
+    return PhaseObstruction(
+        entries=tuple(map(tuple, index.tolist())),
+        coefficients=tuple(coefficients.tolist()),
+        holonomy=holonomy,
+        bound=bound,
+    )
+
+
 def gauge_search(
     first: StateFrame,
     second: StateFrame,
     budget: int = DEFAULT_GAUGE_BUDGET,
     tols: Tolerances = DEFAULT_TOLERANCES,
     seed: int = 0,
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float, PhaseObstruction | None]:
     """Local unitaries that carry the first frame's state towards the second's.
 
     Searches unitaries G_p with core' = (G_A (x) G_B (x) G_C) core; they give
@@ -300,25 +435,35 @@ def gauge_search(
     residual ||core' - (G_A (x) G_B (x) G_C) core|| is the raw residual of
     (U_A, U_B, U_C).  When every eigenvalue group is a single vector, the
     G_p of an LU pair are diagonal phases and the start is their closed-form
-    solve; otherwise, or when that solve finds no consistent phases, the
-    start is the identity.  Until the residual passes ``tols.reconstruction``
-    or ``budget`` sweeps are spent, each sweep updates every G_p in turn by
-    Procrustes, and a sweep that gains less than ``_MIN_GAIN`` restarts from
-    a seeded random unitary that is block-diagonal over the first frame's
-    groups.  Deterministic for a fixed seed.  Returns the factors with the
-    lowest residual reached, and that residual.
+    solve (the phases as the solve assigned them when they are inconsistent,
+    as under noise); when only one party has a group of several vectors, the
+    start is :func:`_one_block_start`; otherwise it is the identity.  If the
+    phase solve fails on a cycle of core entries whose holonomy exceeds the
+    bound of :func:`_obstruction`, no map within ``tols.reconstruction``
+    exists and no sweep is run.  Otherwise, until the residual passes
+    ``tols.reconstruction`` or ``budget`` sweeps are spent, each sweep
+    updates every G_p in turn by Procrustes, and a sweep that gains less
+    than ``_MIN_GAIN`` restarts from a seeded random unitary that is
+    block-diagonal over the first frame's groups.  Deterministic for a
+    fixed seed.  Returns the factors with the lowest residual reached, that
+    residual, and the obstruction (None when the search ran).
     """
     core, target = first.core, second.core
     if core.shape != target.shape:
         raise ValueError(f"shape mismatch: {core.shape} vs {target.shape}")
     phases = [np.ones(d) for d in core.shape]
-    if all(len(groups) == d for groups, d in zip(first.groups, core.shape)):
-        chi = target * core.conj()
-        chi = chi / np.maximum(np.abs(chi), 1e-300)
-        phases = _solve_phase_product(chi, np.abs(core)) or phases
-    outer = phases[0][:, None, None] * phases[1][:, None] * phases[2]
-    best = float(np.linalg.norm(target - outer * core))
-    g = [np.diag(phase) for phase in phases]
+    obstruction = None
+    split = [len(groups) == d for groups, d in zip(first.groups, core.shape)]
+    if all(split):
+        phases, cycle = _solve_phase_product(_phase_ratio(target, core), np.abs(core))
+        if cycle is not None:
+            obstruction = _obstruction(first, cycle, tols)
+    if split.count(False) == 1:
+        g, best = _one_block_start(core, target, split.index(False))
+    else:
+        outer = phases[0][:, None, None] * phases[1][:, None] * phases[2]
+        best = float(np.linalg.norm(target - outer * core))
+        g = [np.diag(phase) for phase in phases]
     best_g = list(g)
     a, b, c = core.shape
     unfolded = (
@@ -328,7 +473,7 @@ def gauge_search(
     )
     rng = np.random.default_rng(seed)
     last = best
-    for _ in range(budget):
+    for _ in range(0 if obstruction else budget):
         if best <= tols.reconstruction:
             break
         residual = _sweep(core, unfolded, g)
@@ -342,7 +487,7 @@ def gauge_search(
     factors = tuple(
         e_p @ g_p @ e.conj().T for e, e_p, g_p in zip(first.bases, second.bases, best_g)
     )
-    return factors, best
+    return factors, best, obstruction
 
 
 def _certify(
@@ -359,7 +504,7 @@ def _certify(
     state within the reconstruction tolerance.
     """
     u_b, u_c = (_polar_unitary(u) for u in factors[1:])
-    mapped_rows = matricize(state, Cut.A) @ np.kron(u_b, u_c).T
+    mapped_rows = (u_b @ state.amplitudes @ u_c.T).reshape(state.dims[0], -1)
     u_a = _polar_unitary(matricize(other, Cut.A) @ mapped_rows.conj().T)
     factors = (u_a, u_b, u_c)
     mapped = apply_local_unitaries(state, *factors, unitarity_tol=tols.unitarity)
@@ -373,7 +518,7 @@ def _certify(
 
 def _state_frame(state: TripartiteState) -> StateFrame:
     """Frame of ``state``: reduction eigenbases, their eigenvalue groups, the core."""
-    bases, groups = [], []
+    bases, eigenvalues, groups = [], [], []
     for cut in Cut:
         a = matricize(state, cut)
         vals, vecs = np.linalg.eigh(a @ a.conj().T)
@@ -382,10 +527,16 @@ def _state_frame(state: TripartiteState) -> StateFrame:
         edges = [0, *(np.flatnonzero(~joined) + 1).tolist(), vals.size]
         groups.append(tuple(slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])))
         bases.append(vecs)
+        eigenvalues.append(vals)
     e_a, e_b, e_c = (e.conj().T for e in bases)
     k, m, n = state.dims
     core = e_b @ (e_a @ (state.amplitudes @ e_c.T).reshape(k, -1)).reshape(k, m, n)
-    return StateFrame(bases=tuple(bases), core=core, groups=tuple(groups))
+    return StateFrame(
+        bases=tuple(bases),
+        eigenvalues=tuple(eigenvalues),
+        core=core,
+        groups=tuple(groups),
+    )
 
 
 def check_di(
@@ -424,7 +575,8 @@ def decide_equivalence(
     candidate whose frame residual passes is re-verified against the raw
     tensors by :func:`_certify` and returned as ``EQUIVALENT_D1`` with the
     certificate (U_A, U_B, U_C).  Anything else is ``INCONCLUSIVE`` with the
-    lowest residual reached - never a claim of inequivalence.
+    lowest residual reached, and with the phase obstruction when one ended
+    the search before any sweep - never a claim of inequivalence.
     """
     if state.dims != other.dims:
         raise ValueError(f"dimension mismatch: {state.dims} vs {other.dims}")
@@ -442,11 +594,13 @@ def decide_equivalence(
                 ),
             )
 
-    factors, residual = gauge_search(
+    factors, residual, obstruction = gauge_search(
         _state_frame(state), _state_frame(other), gauge_budget, tols, seed
     )
     if residual <= tols.reconstruction:
         decision = _certify(state, other, factors, tols)
         if decision is not None:
             return decision
-    return TripartiteDecision(verdict=Verdict.INCONCLUSIVE, residual=residual)
+    return TripartiteDecision(
+        verdict=Verdict.INCONCLUSIVE, residual=residual, obstruction=obstruction
+    )

@@ -6,7 +6,12 @@ import pytest
 
 from triequiv.cli import main
 from triequiv.fileio import matrix_from_pairs, serialize_matrix, serialize_state
-from triequiv.states import apply_local_unitaries, random_unitary
+from triequiv.states import (
+    TripartiteState,
+    apply_local_unitaries,
+    random_state,
+    random_unitary,
+)
 from triequiv.tolerances import Tolerances
 from util import (
     basis_state,
@@ -103,6 +108,36 @@ class TestCheckCommand:
         assert "rank_one" not in report["tolerances"]
         assert main(["check", str(p1), str(p2), "--gauge-iters", "0"]) == 2
         assert "best residual" in capsys.readouterr().out
+
+    def test_conjugate_pair_reports_inconclusive_in_the_v2_keys(self, tmp_path, capsys):
+        # A phase obstruction ends the search before any sweep; the report is
+        # the same inconclusive one a spent budget gives.
+        state = random_state((4, 4, 4), seed=1)
+        p1 = tmp_path / "psi.state"
+        p2 = tmp_path / "conj.state"
+        p1.write_text(serialize_state(state))
+        p2.write_text(serialize_state(TripartiteState(state.amplitudes.conj())))
+        assert main(["check", str(p1), str(p2)]) == 2
+        out = capsys.readouterr().out
+        assert "inconclusive" in out and "best residual" in out
+        assert main(["check", str(p1), str(p2), "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {
+            "schema",
+            "inputs",
+            "dims",
+            "verdict",
+            "power_sums",
+            "residual",
+            "tolerances",
+            "elapsed_seconds",
+            "certificate",
+            "witness",
+        }
+        assert report["schema"] == "triequiv.decision/2"
+        assert report["verdict"] == "inconclusive"
+        assert report["certificate"] is None and report["witness"] is None
+        assert report["residual"] > 1e-9
 
     def test_rank1_tol_is_not_a_check_option(self, golden_files):
         assert main(["check", *golden_files, "--rank1-tol", "1e-8"]) == 64

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -117,12 +119,23 @@ def _rotated_ghz(d=2, seed=11):
     return ghz, apply_local_unitaries(ghz, *factors)
 
 
+def _recorded(results, name):
+    """``equivalence.<name>``, appending the result of every call to ``results``."""
+    wrapped = getattr(equivalence, name)
+
+    def record(*args):
+        results.append(wrapped(*args))
+        return results[-1]
+
+    return record
+
+
 class TestGaugeSearch:
     def test_already_decomposable_returned_unchanged(self):
         # GHZ against itself: the identity start already passes, so the
         # degenerate frames cost no sweep and the factors stay the identity.
         ghz, _ = _rotated_ghz()
-        factors, residual = gauge_search(*_frames(ghz, ghz), budget=100)
+        factors, residual, _ = gauge_search(*_frames(ghz, ghz), budget=100)
         assert residual <= 1e-12
         for u in factors:
             np.testing.assert_allclose(u, np.eye(2), atol=1e-12)
@@ -131,7 +144,7 @@ class TestGaugeSearch:
         ghz, rotated = _rotated_ghz()
         first, second = _frames(ghz, rotated)
         monkeypatch.setattr(equivalence, "_sweep", None)
-        _, residual = gauge_search(first, second, budget=0)
+        _, residual, _ = gauge_search(first, second, budget=0)
         assert residual == np.linalg.norm(second.core - first.core)
         assert residual > 1e-3
 
@@ -141,19 +154,29 @@ class TestGaugeSearch:
         state, rotated, _ = _lu_pair((6, 6, 6), 0)
         noisy = _with_noise(rotated, 3e-10, np.random.default_rng(0))
         first, second = _frames(state, noisy)
-        _, start = gauge_search(first, second, budget=0)
-        factors, residual = gauge_search(first, second)
+        _, start, _ = gauge_search(first, second, budget=0)
+        factors, residual, obstruction = gauge_search(first, second)
         assert start > 1e-9
+        assert obstruction is None
         assert residual <= 1e-9
         mapped = np.einsum("ia,jb,kc,abc->ijk", *factors, state.amplitudes)
         assert np.linalg.norm(mapped - noisy.amplitudes) <= 1e-9
 
-    def test_deterministic_for_fixed_seed(self):
-        state = random_state((3, 3, 3), seed=8)
+    def test_deterministic_for_fixed_seed(self, monkeypatch):
+        # A state maximally entangled across A against its conjugate: A's
+        # reduction is one group, so no obstruction ends the search, and the
+        # 60 sweeps run out after seeded block restarts.
+        state = _max_entangled_a((3, 3, 3), np.random.default_rng(0))
         frames = _frames(state, TripartiteState(state.amplitudes.conj()))
-        f1, r1 = gauge_search(*frames, budget=60, seed=5)
-        f2, r2 = gauge_search(*frames, budget=60, seed=5)
-        assert r1 == r2
+        sweeps, restarts = [], []
+        monkeypatch.setattr(equivalence, "_sweep", _recorded(sweeps, "_sweep"))
+        monkeypatch.setattr(
+            equivalence, "_block_unitary", _recorded(restarts, "_block_unitary")
+        )
+        f1, r1, o1 = gauge_search(*frames, budget=60, seed=5)
+        assert (len(sweeps), len(restarts)) == (60, 9)
+        f2, r2, o2 = gauge_search(*frames, budget=60, seed=5)
+        assert r1 == r2 and o1 is o2 is None
         for u1, u2 in zip(f1, f2):
             np.testing.assert_array_equal(u1, u2)
 
@@ -417,7 +440,7 @@ SPARSE_ANCHOR_PAIR = ((3, 3, 3), 0)
 def test_sparse_lu_pairs_hit_the_anchoring_rule():
     chi, weight = _frame_phase_ratio(*_sparse_lu_pair(*SPARSE_ANCHOR_PAIR))
     assert oracle_solve_phase_product(chi, weight) is None
-    assert equivalence._solve_phase_product(chi, weight) is not None
+    assert equivalence._solve_phase_product(chi, weight)[1] is None
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -478,6 +501,122 @@ def test_degenerate_lu_pairs_are_certified(kind):
         _assert_certified(decide_equivalence(state, rotated), state, rotated)
 
 
+def _schmidt_state(dims, rank, gap, rng):
+    """State sum_i sqrt(lam_i) |i>_A |phi_i>_BC over ``rank`` random orthonormal phi_i.
+
+    Its A reduction is diag(lam), zero past ``rank``; with ``gap`` set, its
+    two largest eigenvalues lie ``gap`` apart.
+    """
+    k, m, n = dims
+    lam = np.sort(rng.uniform(0.5, 1.0, rank))[::-1] / rank
+    if gap is not None:
+        lam[1] = lam[0] - gap
+        lam[2:] *= (1 - lam[0] - lam[1]) / lam[2:].sum() if rank > 2 else 0
+        lam[:2] += (1 - lam.sum()) / 2
+    amps = np.zeros((k, m * n), dtype=complex)
+    amps[:rank] = random_unitary(m * n, rng)[:rank] * np.sqrt(lam)[:, None]
+    return TripartiteState.from_unnormalized(amps.reshape(dims))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    kind=st.sampled_from(["dense", "sparse", "rank-deficient", "gap"]),
+    log_gap=st.floats(-7.0, -4.0),
+    log_noise=st.one_of(st.none(), st.floats(-13.0, np.log10(5e-10))),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=(4, 4, 4), kind="gap", log_gap=-7.0, log_noise=np.log10(5e-10), seed=1)
+@example(dims=(4, 4, 4), kind="gap", log_gap=-5.7, log_noise=np.log10(5e-10), seed=1)
+@example(dims=(4, 4, 4), kind="gap", log_gap=-4.0, log_noise=np.log10(5e-10), seed=1)
+def test_lu_pairs_never_carry_an_obstruction(dims, kind, log_gap, log_noise, seed):
+    # The gap is swept across _EIG_GAP, so the pair of eigenvalues is grouped
+    # (block search) below it and split (phase solve) above it.
+    rng = np.random.default_rng(seed)
+    k, m, n = dims
+    if kind == "sparse":
+        state, partner = _sparse_lu_pair(dims, seed)
+    else:
+        if kind == "dense":
+            state = random_state(dims, rng)
+        else:
+            full = min(k, m * n)
+            rank = full
+            if kind == "rank-deficient" and full > 1:
+                rank = int(rng.integers(1, full))
+            gap = 10.0**log_gap if kind == "gap" and rank > 1 else None
+            state = _schmidt_state(dims, rank, gap, rng)
+        partner = apply_local_unitaries(state, *(random_unitary(d, rng) for d in dims))
+    if log_noise is not None:
+        partner = _with_noise(partner, 10.0**log_noise, rng)
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivalence, "_obstruction", _recorded(results, "_obstruction"))
+        decision = decide_equivalence(state, partner)
+    assert all(result is None for result in results)
+    assert decision.obstruction is None
+    _assert_certified(decision, state, partner)
+
+
+def _own_frame(state, rng):
+    """Reduction eigenbases (descending, each vector times a random phase) and core."""
+    bases = []
+    for cut in Cut:
+        a = matricize(state, cut)
+        vecs = np.linalg.eigh(a @ a.conj().T)[1][:, ::-1]
+        bases.append(vecs * np.exp(2j * np.pi * rng.random(vecs.shape[1])))
+    return np.einsum("ia,jb,kc,ijk->abc", *(e.conj() for e in bases), state.amplitudes)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+    seed=st.integers(0, 2**16),
+)
+def test_conjugate_pairs_stop_on_an_obstruction(dims, seed):
+    state = random_state(dims, seed)
+    conj = TripartiteState(state.amplitudes.conj())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivalence, "_sweep", _refuse)
+        decision = decide_equivalence(state, conj)
+    assert decision.verdict is Verdict.INCONCLUSIVE
+    assert decision.local_factors is None
+    # The residual is the closed-form start's, as with no sweep at all.
+    assert decision.residual == gauge_search(*_frames(state, conj), budget=0)[1]
+
+    obstruction = decision.obstruction
+    index = np.array(obstruction.entries)
+    y = np.array(obstruction.coefficients)
+    _assert_is_cycle(index, y, dims)
+    # The holonomy is the same in any frames, whatever phases their
+    # eigenvectors carry, and it exceeds the bound the decision recorded.
+    rng = np.random.default_rng(seed)
+    core, core_conj = _own_frame(state, rng), _own_frame(conj, rng)
+    theta = np.angle(core_conj[tuple(index.T)] * core[tuple(index.T)].conj())
+    holonomy = np.angle(np.exp(1j * (y @ theta)))
+    assert abs(holonomy - obstruction.holonomy) <= 1e-8
+    assert abs(holonomy) > obstruction.bound
+    weight = np.abs(core[tuple(index.T)])
+    assert obstruction.bound >= np.sum(np.abs(y) * 2e-9 / weight)
+
+
+def test_certify_maps_rows_without_a_kronecker_product():
+    # np.kron(U_B, U_C) alone would take 81 MiB at 2x48x48.
+    rng = np.random.default_rng(3)
+    state = random_state((2, 48, 48), rng)
+    factors = (random_unitary(d, rng) for d in state.dims)
+    rotated = apply_local_unitaries(state, *factors)
+    decide_equivalence(state, rotated)
+    tracemalloc.start()
+    try:
+        decision = decide_equivalence(state, rotated)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_certified(decision, state, rotated)
+    assert peak < 10 * 2**20
+
+
 def _significance_mask(kind, dims, rng):
     if kind == "dense":
         return np.ones(dims, dtype=bool)
@@ -495,6 +634,16 @@ def _significance_mask(kind, dims, rng):
     mask = rng.random(dims) < 0.3
     mask[tuple(rng.integers(d) for d in dims)] = True
     return mask
+
+
+def _assert_is_cycle(index, y, dims):
+    """Distinct core entries with nonzero integer coefficients on every
+    index of which (per party) the coefficients sum to zero."""
+    assert len(index) == len(y) == len({tuple(e) for e in np.asarray(index)})
+    assert all(c != 0 and c == int(c) for c in y)
+    for axis, d in enumerate(dims):
+        sums = np.bincount(np.asarray(index)[:, axis], weights=y, minlength=d)
+        assert not sums.any()
 
 
 def _reproduces(phases, chi, significant):
@@ -518,23 +667,32 @@ def test_phase_solver_matches_flood_fill(dims, kind, seed):
     chi = np.einsum("s,p,q->spq", beta, phi, psi)
     chi[~mask] = np.exp(2j * np.pi * rng.random(int((~mask).sum())))
 
-    new = equivalence._solve_phase_product(chi, weight)
+    new, cycle = equivalence._solve_phase_product(chi, weight)
     old = oracle_solve_phase_product(chi, weight)
     # An exact product always factors; the flood fill's anchoring rule misses
     # some on sparse masks, so it is the reference only where it answers.
-    assert new is not None
+    assert cycle is None
     assert _reproduces(new, chi, mask)
     if old is not None:
         assert _reproduces(old, chi, mask)
 
     rotated = chi.copy()
     entries = np.argwhere(mask)
-    rotated[tuple(entries[rng.integers(len(entries))])] *= np.exp(1e-3j)
-    new = equivalence._solve_phase_product(rotated, weight)
+    touched = entries[rng.integers(len(entries))]
+    rotated[tuple(touched)] *= np.exp(1e-3j)
+    new, cycle = equivalence._solve_phase_product(rotated, weight)
     old = oracle_solve_phase_product(rotated, weight)
     if old is not None:
-        assert new is not None
-    if new is not None:
+        assert cycle is None
+    if cycle is None:
         assert _reproduces(new, rotated, mask)
+    else:
+        # Only the rotated entry is off a product, so the cycle runs through
+        # it and its holonomy is that entry's coefficient times the rotation.
+        index, y, holonomy = cycle
+        _assert_is_cycle(index, y, dims)
+        at = np.flatnonzero((index == touched).all(axis=1))
+        assert at.size == 1
+        assert abs(holonomy - y[at[0]] * 1e-3) <= 1e-9
     if kind == "dense" and min(dims) >= 2:
-        assert new is None
+        assert cycle is not None
