@@ -1,18 +1,18 @@
 """The three-party equivalence decision, with certificates and witnesses.
 
-Each state is first put into its frame: the eigenbases of its three one-party
-reductions, grouped by eigenvalue, and the core tensor in those bases (the
-higher-order SVD).  A local unitary map between two states is block-diagonal
-between their frames, one block per eigenvalue group, and carries one core
-onto the other.  ``gauge_search`` looks for those blocks: in closed form when
-at most one party has a group of several vectors, otherwise (or under noise)
-by alternating per-party Procrustes sweeps on the two cores.  When every
-group is a single vector and the phases admit no solution, a cycle of core
-entries whose phase product is off by more than noise within the tolerance
-can explain ends the search before any sweep.  The answer to an equivalent
-pair is the certificate (U_A, U_B, U_C), re-verified against the raw
-amplitude tensors; a negative verdict needs a cut whose singular spectra
-differ.
+Each state is first put into its frame, the higher-order SVD: one SVD per cut
+gives the cut's singular spectrum and the eigenbasis of its one-party
+reduction, grouped by eigenvalue, and the core tensor is the state in those
+bases.  A local unitary map between two states is block-diagonal between their
+frames, one block per eigenvalue group, and carries one core onto the other.
+``gauge_search`` looks for those blocks: in closed form when at most one party
+has a group of several vectors, otherwise (or under noise) by alternating
+per-party Procrustes sweeps on the two cores.  When every group is a single
+vector and the phases admit no solution, a cycle of core entries whose phase
+product is off by more than noise within the tolerance can explain ends the
+search before any sweep.  The answer to an equivalent pair is the certificate
+(U_A, U_B, U_C), re-verified against the raw amplitude tensors; a negative
+verdict needs a cut whose singular spectra differ.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .invariants import singular_spectrum
-
-# Not called here: perfbench/tracing.py wraps these two names on this module.
+# Not called here: perfbench/tracing.py wraps these names on this module.
+from .invariants import singular_spectrum  # noqa: F401
 from .realign import is_unitarily_decomposable, kron_factorize  # noqa: F401
 from .states import (
     Cut,
@@ -119,17 +118,18 @@ class PhaseObstruction:
 
 @dataclass(frozen=True)
 class StateFrame:
-    """Eigenbases of the three one-party reductions and the core tensor in them.
+    """Left singular vectors of the three cuts and the core tensor in them.
 
-    ``bases[p]`` holds party p's eigenvectors as columns, and
-    ``eigenvalues[p]`` their eigenvalues, descending.  ``groups[p]`` splits
-    their indices into runs of eigenvalues above ``_EIG_GAP`` that lie closer
-    than ``_EIG_GAP``; every smaller eigenvalue is a group of its own, as the
-    state has (almost) no weight there.
+    ``bases[p]`` holds cut p's left singular vectors (party p's reduction
+    eigenvectors) as columns, ``spectra[p]`` its singular values, descending,
+    whose squares padded with zeros to d_p are the eigenvalues.  ``groups[p]``
+    splits the indices into runs of eigenvalues above ``_EIG_GAP`` that lie
+    closer than ``_EIG_GAP``; each smaller one, where the state has (almost)
+    no weight, is a group of its own.
     """
 
     bases: tuple[np.ndarray, np.ndarray, np.ndarray]
-    eigenvalues: tuple[np.ndarray, np.ndarray, np.ndarray]
+    spectra: tuple[np.ndarray, np.ndarray, np.ndarray]
     core: np.ndarray
     groups: tuple[tuple[slice, ...], ...]
 
@@ -144,6 +144,7 @@ class TripartiteDecision:
     the search reached.  ``obstruction`` is set on an inconclusive decision
     whose search stopped before any sweep because the phases of the two cores
     admit no map within the tolerance; it is not a claim of inequivalence.
+    ``spectra`` holds the singular values of both states on cuts A, B and C.
     """
 
     verdict: Verdict
@@ -151,12 +152,21 @@ class TripartiteDecision:
     residual: float | None = None
     witness: SpectrumWitness | None = None
     obstruction: PhaseObstruction | None = None
+    spectra: tuple[tuple[tuple[float, ...], ...], ...] | None = None
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
     """Unitary factor of the polar decomposition (nearest unitary)."""
     w, _, zh = np.linalg.svd(m)
     return w @ zh
+
+
+def _spectrum_witness(sa, sb, tol: float, cut: Cut | None) -> SpectrumWitness | None:
+    """Witness at the largest deviation of two spectra, if that exceeds ``tol``."""
+    worst = int(np.argmax(np.abs(sa - sb)))
+    if abs(sa[worst] - sb[worst]) > tol:
+        return SpectrumWitness(cut, worst, float(sa[worst]), float(sb[worst]))
+    return None
 
 
 def bipartite_equivalent(
@@ -178,12 +188,8 @@ def bipartite_equivalent(
 
     ua, sa, vha = np.linalg.svd(a)
     ub, sb, vhb = np.linalg.svd(b)
-    deviation = np.abs(sa - sb)
-    worst = int(np.argmax(deviation))
-    if deviation[worst] > tols.spectra:
-        return SpectrumWitness(
-            cut=None, index=worst, left=float(sa[worst]), right=float(sb[worst])
-        )
+    if (witness := _spectrum_witness(sa, sb, tols.spectra, None)) is not None:
+        return witness
 
     u_cert = ub @ ua.conj().T
     v_cert = vhb.T @ vha.conj()
@@ -404,7 +410,8 @@ def _obstruction(
     index, coefficients, holonomy = cycle
     tau = tols.reconstruction
     beta = tau
-    for vals, touched in zip(frame.eigenvalues, index.T):
+    for spectrum, dim, touched in zip(frame.spectra, frame.core.shape, index.T):
+        vals = np.concatenate((spectrum**2, np.zeros(dim - spectrum.size)))
         step = np.abs(np.diff(vals))
         gap = np.minimum(np.append(step, np.inf), np.insert(step, 0, np.inf))
         with np.errstate(divide="ignore"):
@@ -517,23 +524,24 @@ def _certify(
 
 
 def _state_frame(state: TripartiteState) -> StateFrame:
-    """Frame of ``state``: reduction eigenbases, their eigenvalue groups, the core."""
-    bases, eigenvalues, groups = [], [], []
+    """Frame of ``state`` from one SVD per cut: bases, spectra, groups, core."""
+    bases, spectra, groups = [], [], []
     for cut in Cut:
         a = matricize(state, cut)
-        vals, vecs = np.linalg.eigh(a @ a.conj().T)
-        vals, vecs = vals[::-1], vecs[:, ::-1]
+        # Only a cut with more rows than columns needs the full left factor.
+        vecs, spectrum, _ = np.linalg.svd(a, full_matrices=a.shape[0] > a.shape[1])
+        vals = np.concatenate((spectrum**2, np.zeros(a.shape[0] - spectrum.size)))
         joined = (vals[:-1] > _EIG_GAP) & (vals[:-1] - vals[1:] < _EIG_GAP)
         edges = [0, *(np.flatnonzero(~joined) + 1).tolist(), vals.size]
         groups.append(tuple(slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])))
         bases.append(vecs)
-        eigenvalues.append(vals)
+        spectra.append(spectrum)
     e_a, e_b, e_c = (e.conj().T for e in bases)
     k, m, n = state.dims
     core = e_b @ (e_a @ (state.amplitudes @ e_c.T).reshape(k, -1)).reshape(k, m, n)
     return StateFrame(
         bases=tuple(bases),
-        eigenvalues=tuple(eigenvalues),
+        spectra=tuple(spectra),
         core=core,
         groups=tuple(groups),
     )
@@ -568,9 +576,9 @@ def decide_equivalence(
 ) -> TripartiteDecision:
     """Full decision: spectra on all three cuts, then one search in the frames.
 
-    Any cut with differing singular spectra proves inequivalence outright, so
-    the spectra of cuts A, B and C are compared first.  Otherwise each state
-    is put into its frame once and :func:`gauge_search` spends at most
+    Each state is put into its frame once, and a cut whose singular spectra
+    in the frames differ proves inequivalence outright, so cuts A, B and C
+    are compared first.  Otherwise :func:`gauge_search` spends at most
     ``gauge_budget`` sweeps looking for local unitaries between them.  A
     candidate whose frame residual passes is re-verified against the raw
     tensors by :func:`_certify` and returned as ``EQUIVALENT_D1`` with the
@@ -581,26 +589,19 @@ def decide_equivalence(
     if state.dims != other.dims:
         raise ValueError(f"dimension mismatch: {state.dims} vs {other.dims}")
 
-    for cut in Cut:
-        sa = singular_spectrum(state, cut)
-        sb = singular_spectrum(other, cut)
-        deviation = np.abs(sa - sb)
-        worst = int(np.argmax(deviation))
-        if deviation[worst] > tols.spectra:
+    first, second = _state_frame(state), _state_frame(other)
+    spectra = tuple(tuple(tuple(s.tolist()) for s in f.spectra) for f in (first, second))
+    for cut, sa, sb in zip(Cut, first.spectra, second.spectra):
+        if (witness := _spectrum_witness(sa, sb, tols.spectra, cut)) is not None:
             return TripartiteDecision(
-                verdict=Verdict.INVARIANTS_DIFFER,
-                witness=SpectrumWitness(
-                    cut=cut, index=worst, left=float(sa[worst]), right=float(sb[worst])
-                ),
+                verdict=Verdict.INVARIANTS_DIFFER, witness=witness, spectra=spectra
             )
 
-    factors, residual, obstruction = gauge_search(
-        _state_frame(state), _state_frame(other), gauge_budget, tols, seed
-    )
+    factors, residual, obstruction = gauge_search(first, second, gauge_budget, tols, seed)
     if residual <= tols.reconstruction:
         decision = _certify(state, other, factors, tols)
         if decision is not None:
-            return decision
+            return replace(decision, spectra=spectra)
     return TripartiteDecision(
-        verdict=Verdict.INCONCLUSIVE, residual=residual, obstruction=obstruction
+        Verdict.INCONCLUSIVE, residual=residual, obstruction=obstruction, spectra=spectra
     )

@@ -45,21 +45,23 @@ def singular_spectrum(state: TripartiteState, cut: Cut) -> np.ndarray:
     return np.linalg.svd(matricize(state, cut), compute_uv=False)
 
 
+def power_sums(spectrum, max_order: int) -> tuple[float, ...]:
+    """Tr(rho^alpha), alpha = 1..max_order, from the singular values of rho's cut."""
+    return tuple(float(np.sum(np.square(spectrum) ** a)) for a in range(1, max_order + 1))
+
+
 def power_sum_invariants(
     state: TripartiteState, cut: Cut, max_order: int | None = None
 ) -> InvariantVector:
     """Power sums Tr(rho^alpha) of the cut's reduction, alpha = 1..max_order.
 
-    Defaults to max_order = min(K, M, N).  Computed from squared singular
-    values of the matricization; the large reduced operator is never powered
-    explicitly.
+    Defaults to max_order = min(K, M, N).
     """
     if max_order is None:
         max_order = min(state.dims)
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    lam = singular_spectrum(state, cut) ** 2
-    values = tuple(float(np.sum(lam**alpha)) for alpha in range(1, max_order + 1))
+    values = power_sums(singular_spectrum(state, cut), max_order)
     return InvariantVector(cut=cut, values=values)
 
 

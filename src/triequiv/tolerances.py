@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 #: Largest allowed deviation of a state's squared norm from one.
 NORM_TOL = 1e-12
@@ -32,12 +33,20 @@ class Tolerances:
     """Bundle of the tolerances used by the equivalence decision pipeline.
 
     All comparisons are absolute; every quantity involved lives in [0, 1]
-    up to a dimension factor.
+    up to a dimension factor.  Every field must be finite and positive: a
+    negative tolerance refutes equal spectra, an infinite one certifies any
+    pair.
     """
 
     unitarity: float = UNITARITY_TOL
     spectra: float = SPECTRA_TOL
     reconstruction: float = RECON_TOL
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{field.name} tolerance must be finite and > 0: {value}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from triequiv.cli import main
+from triequiv.cli import _decision_report, main
+from triequiv.equivalence import decide_equivalence
 from triequiv.fileio import matrix_from_pairs, serialize_matrix, serialize_state
 from triequiv.states import (
     TripartiteState,
@@ -171,6 +172,31 @@ class TestCheckCommand:
         reports = json.loads(capsys.readouterr().out)
         assert [r["verdict"] for r in reports] == ["equivalent-d1", "invariants-differ"]
 
+    @pytest.fixture
+    def lu_files(self, tmp_path, capsys):
+        args = ["random", "--dims", "3", "3", "3", "--lu-pair", "--out", str(tmp_path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        return sorted(str(p) for p in tmp_path.glob("*.state"))
+
+    def test_negative_spec_tol_is_a_usage_error(self, lu_files, capsys):
+        # A negative tolerance would refute this LU pair on equal spectra.
+        assert main(["check", *lu_files, "--spec-tol", "-1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--spec-tol" in captured.err
+
+    def test_infinite_tol_is_a_usage_error(self, lu_files, capsys):
+        # An infinite tolerance would also write the non-JSON token Infinity.
+        assert main(["check", *lu_files, "--tol", "inf", "--json"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+    def test_negative_gauge_iters_is_a_usage_error(self, golden_files, capsys):
+        assert main(["check", *golden_files, "--gauge-iters", "-5"]) == 64
+        assert "--gauge-iters" in capsys.readouterr().err
+
     def test_odd_path_count_usage_error(self, golden_files):
         assert main(["check", golden_files[0]]) == 64
 
@@ -246,6 +272,12 @@ class TestRandomCommand:
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_negative_count_is_a_usage_error(self, tmp_path, capsys):
+        args = ["random", "--dims", "2", "2", "2", "--count", "-3", "--out", str(tmp_path)]
+        assert main(args) == 64
+        assert "--count" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_emitted_pair_checks_equivalent(self, tmp_path, capsys):
         assert (
             main(
@@ -292,6 +324,46 @@ class TestRandomCommand:
         assert len(mats) == 3
         for path in mats:
             assert unitarity_defect(load_matrix(path)) <= 1e-12
+
+
+class TestFactorisationCounts:
+    """Each state is decomposed once: one SVD per cut, shared by every layer."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"svd": 0, "eigh": 0}
+        for name in counts:
+
+            def counted(*args, name=name, original=getattr(np.linalg, name), **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.fixture
+    def pair(self):
+        state = random_state((3, 4, 5), seed=5)
+        factors = (random_unitary(d, seed=6 + i) for i, d in enumerate(state.dims))
+        return state, apply_local_unitaries(state, *factors)
+
+    def test_decision(self, pair, counts):
+        decide_equivalence(*pair)
+        # Six cuts, then the two snaps and the Procrustes refit of _certify.
+        assert counts == {"svd": 9, "eigh": 0}
+
+    def test_report(self, pair, counts):
+        decision = decide_equivalence(*pair)
+        counts["svd"] = 0
+        report = _decision_report(decision, pair[0].dims, Tolerances(), 0.0, ("a", "b"))
+        assert counts == {"svd": 0, "eigh": 0}
+        assert report["power_sums"]["first"]["A"][0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_invariants(self, pair, counts, tmp_path, capsys):
+        path = tmp_path / "state.state"
+        path.write_text(serialize_state(pair[0]))
+        assert main(["invariants", str(path), "--json"]) == 0
+        assert counts == {"svd": 3, "eigh": 0}
 
 
 class TestUsage:

@@ -17,6 +17,7 @@ from triequiv.equivalence import (
     decide_equivalence,
     gauge_search,
 )
+from triequiv.invariants import singular_spectrum
 from triequiv.states import (
     Cut,
     TripartiteState,
@@ -374,9 +375,23 @@ def _verdict_class(decision):
 @given(
     dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
     trial=st.integers(0, 2**16),
+    rank_deficient=st.booleans(),
 )
-def test_lu_rotated_pairs_are_never_refuted(dims, trial):
-    state, rotated, _ = _lu_pair(dims, trial)
+@example(dims=(5, 2, 2), trial=0, rank_deficient=False)
+@example(dims=(6, 1, 3), trial=0, rank_deficient=False)
+@example(dims=(6, 1, 3), trial=0, rank_deficient=True)
+def test_lu_rotated_pairs_are_never_refuted(dims, trial, rank_deficient):
+    # Cuts with more rows than columns (cut A of 5x2x2 and 6x1x3) take the
+    # frame's full SVD; the others its thin one.
+    state, rotated, factors = _lu_pair(dims, trial)
+    if rank_deficient:
+        rng = np.random.default_rng(trial)
+        full = min(dims[0], dims[1] * dims[2])
+        rank = int(rng.integers(1, full)) if full > 1 else 1
+        state = _schmidt_state(dims, rank, None, rng)
+        rotated = apply_local_unitaries(state, *factors)
+    other = _lu_pair(dims, trial + 1)[0]
+    refuted = decide_equivalence(state, other)
     forward = decide_equivalence(state, rotated)
     backward = decide_equivalence(rotated, state)
     for decision, first, second in (
@@ -392,6 +407,40 @@ def test_lu_rotated_pairs_are_never_refuted(dims, trial):
             )
             assert np.linalg.norm(mapped - second.amplitudes) <= 1e-9
     assert _verdict_class(forward) == _verdict_class(backward)
+
+    # The decisions carry the frames' spectra; a witness is read from them.
+    for decision, pair in ((forward, (state, rotated)), (refuted, (state, other))):
+        for spectra, s in zip(decision.spectra, pair):
+            for cut, spectrum in zip(Cut, spectra):
+                np.testing.assert_allclose(
+                    spectrum, singular_spectrum(s, cut), rtol=0, atol=1e-13
+                )
+    witness = refuted.witness
+    if witness is not None:
+        left, right = (
+            np.linalg.svd(matricize(s, witness.cut), compute_uv=False)[witness.index]
+            for s in (state, other)
+        )
+        assert abs(witness.left - left) <= 1e-12
+        assert abs(witness.right - right) <= 1e-12
+        assert abs(left - right) > 1e-9
+
+
+@pytest.mark.parametrize("field", ["unitarity", "spectra", "reconstruction"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, np.inf, np.nan])
+def test_tolerances_must_be_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match=field):
+        Tolerances(**{field: value})
+
+
+def test_infinite_tolerances_do_not_certify_an_unrelated_pair():
+    # These tolerances would certify two states whose spectra differ.
+    with pytest.raises(ValueError, match="finite"):
+        decide_equivalence(
+            random_state((3, 3, 3), 1),
+            random_state((3, 3, 3), 2),
+            Tolerances(spectra=np.inf, reconstruction=np.inf),
+        )
 
 
 def _assert_certified(decision, first, second):
