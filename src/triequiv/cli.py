@@ -77,11 +77,16 @@ def _tolerances(args) -> Tolerances:
     return tols
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_from(low: int):
+    """argparse type for an integer no less than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 # ---------------------------------------------------------------- invariants
@@ -106,7 +111,10 @@ def _cmd_invariants(args) -> int:
         lines.append(f"{_CUT_LETTER[cut]} (cut {_CUT_LABEL[cut]}): {rendered}")
     if args.nested is not None:
         outer, inner, alpha, beta = args.nested
-        value = nested_invariant(state, outer, inner, alpha, beta)
+        try:
+            value = nested_invariant(state, outer, inner, alpha, beta)
+        except ValueError as exc:
+            raise UsageError(f"--nested: {exc}") from None
         report["nested"] = {
             "outer": outer,
             "inner": inner,
@@ -271,8 +279,6 @@ def _cmd_factorize(args) -> int:
 
 def _cmd_random(args) -> int:
     k, m, n = args.dims
-    if min(args.dims) < 1:
-        raise UsageError("--dims components must be positive")
     out_dir = args.out
     written = []
     for idx in range(args.count):
@@ -338,21 +344,21 @@ def build_parser() -> _Parser:
     )
     p_check.add_argument(
         "--gauge-iters",
-        type=_non_negative_int,
+        type=_int_from(0),
         default=DEFAULT_GAUGE_BUDGET,
         help="gauge search budget in sweeps (0 disables)",
     )
     p_check.add_argument("--strict", action="store_true", help="reject off-norm input")
     p_check.add_argument("--json", action="store_true", help="emit JSON reports")
-    p_check.add_argument("--seed", type=int, default=0, help="gauge search seed")
+    p_check.add_argument("--seed", type=_int_from(0), default=0, help="gauge search seed")
     p_check.set_defaults(func=_cmd_check)
 
     p_fac = sub.add_parser(
         "factorize", help="test a unitary for Kronecker decomposability"
     )
     p_fac.add_argument("matrix", help="matrix file")
-    p_fac.add_argument("-m", type=int, required=True, help="left factor dimension")
-    p_fac.add_argument("-n", type=int, required=True, help="right factor dimension")
+    p_fac.add_argument("-m", type=_int_from(1), required=True, help="left factor dimension")
+    p_fac.add_argument("-n", type=_int_from(1), required=True, help="right factor dimension")
     p_fac.add_argument(
         "--rank1-tol", type=float, default=1e-8, help="realignment defect threshold"
     )
@@ -361,10 +367,10 @@ def build_parser() -> _Parser:
 
     p_rand = sub.add_parser("random", help="emit seeded random states")
     p_rand.add_argument(
-        "--dims", nargs=3, type=int, required=True, metavar=("K", "M", "N")
+        "--dims", nargs=3, type=_int_from(1), required=True, metavar=("K", "M", "N")
     )
-    p_rand.add_argument("--seed", type=int, default=0)
-    p_rand.add_argument("--count", type=_non_negative_int, default=1)
+    p_rand.add_argument("--seed", type=_int_from(0), default=0)
+    p_rand.add_argument("--count", type=_int_from(0), default=1)
     p_rand.add_argument(
         "--lu-pair",
         action="store_true",

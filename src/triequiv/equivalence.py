@@ -1,18 +1,19 @@
 """The three-party equivalence decision, with certificates and witnesses.
 
-Each state is first put into its frame, the higher-order SVD: one SVD per cut
-gives the cut's singular spectrum and the eigenbasis of its one-party
+One SVD per cut gives the cut's singular spectrum, and a cut whose spectra
+differ refutes the pair.  Otherwise each state is put into its frame, the
+higher-order SVD: the same SVDs give the eigenbasis of each one-party
 reduction, grouped by eigenvalue, and the core tensor is the state in those
 bases.  A local unitary map between two states is block-diagonal between their
 frames, one block per eigenvalue group, and carries one core onto the other.
 ``gauge_search`` looks for those blocks: in closed form when at most one party
 has a group of several vectors, otherwise (or under noise) by alternating
-per-party Procrustes sweeps on the two cores.  When every group is a single
+per-party Procrustes steps on the two cores.  When every group is a single
 vector and the phases admit no solution, a cycle of core entries whose phase
 product is off by more than noise within the tolerance can explain ends the
 search before any sweep.  The answer to an equivalent pair is the certificate
-(U_A, U_B, U_C), re-verified against the raw amplitude tensors; a negative
-verdict needs a cut whose singular spectra differ.
+(U_A, U_B, U_C) whose U_A is one more Procrustes step on the raw amplitude
+tensors; every Procrustes step is :func:`_refit`.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ import numpy as np
 # Not called here: perfbench/tracing.py wraps these names on this module.
 from .invariants import singular_spectrum  # noqa: F401
 from .realign import is_unitarily_decomposable, kron_factorize  # noqa: F401
+from .states import apply_local_unitaries  # noqa: F401
 from .states import (
     Cut,
     TripartiteState,
-    apply_local_unitaries,
     matricize,
     random_unitary,
+    unitarity_defect,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -155,16 +157,40 @@ class TripartiteDecision:
     spectra: tuple[tuple[tuple[float, ...], ...], ...] | None = None
 
 
-def _polar_unitary(m: np.ndarray) -> np.ndarray:
-    """Unitary factor of the polar decomposition (nearest unitary)."""
-    w, _, zh = np.linalg.svd(m)
-    return w @ zh
+def _refit(source, target, p: int, g: list) -> tuple[np.ndarray, float]:
+    """Procrustes optimum of party p's unitary with the other two fixed.
+
+    X is ``source`` mapped by g[q] for q != p and T is ``target``, both
+    unfolded along p; the unitary closest to carrying X onto T is the polar
+    factor W Z^dagger of T X^dagger = W S Z^dagger (Schoenemann 1966).
+    Returns it and ||T - g_p X||.
+    """
+    a, b, c = source.shape
+    if p != 2:
+        source = source @ g[2].T
+    if p != 0:
+        source = (g[0] @ source.reshape(a, -1)).reshape(a, b, c)
+    if p != 1:
+        source = g[1] @ source
+    x = np.moveaxis(source, p, 0).reshape(source.shape[p], -1)
+    t = np.moveaxis(target, p, 0).reshape(x.shape)
+    w, _, zh = np.linalg.svd(t @ x.conj().T)
+    g_p = w @ zh
+    return g_p, float(np.linalg.norm(t - g_p @ x))
 
 
-def _spectrum_witness(sa, sb, tol: float, cut: Cut | None) -> SpectrumWitness | None:
-    """Witness at the largest deviation of two spectra, if that exceeds ``tol``."""
+def _spectrum_witness(
+    sa, sb, tol: float, cut: Cut | None, shape: tuple[int, int]
+) -> SpectrumWitness | None:
+    """Witness at the largest deviation of two spectra, if that exceeds ``tol``.
+
+    The deviation must also exceed the rounding of the SVDs of two ``shape``
+    matrices, (rows + cols) eps sigma_1 each, so that no tolerance however
+    small refutes a pair on rounding alone.
+    """
     worst = int(np.argmax(np.abs(sa - sb)))
-    if abs(sa[worst] - sb[worst]) > tol:
+    rounding = sum(shape) * np.finfo(float).eps * (sa[0] + sb[0])
+    if abs(sa[worst] - sb[worst]) > tol + rounding:
         return SpectrumWitness(cut, worst, float(sa[worst]), float(sb[worst]))
     return None
 
@@ -188,7 +214,7 @@ def bipartite_equivalent(
 
     ua, sa, vha = np.linalg.svd(a)
     ub, sb, vhb = np.linalg.svd(b)
-    if (witness := _spectrum_witness(sa, sb, tols.spectra, None)) is not None:
+    if (witness := _spectrum_witness(sa, sb, tols.spectra, None, a.shape)) is not None:
         return witness
 
     u_cert = ub @ ua.conj().T
@@ -332,24 +358,11 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     return phases, (index, cycles[best, keep].astype(int), float(holonomy[best]))
 
 
-def _sweep(core: np.ndarray, unfolded: tuple, g: list) -> float:
-    """Replace each g[p] in turn by its Procrustes optimum; the new residual.
-
-    With the other two factors fixed, the unitary that best carries ``core``
-    onto the target along axis p is the polar factor of
-    target_(p) conj(g_q (x) g_r) core_(p)^dagger.  ``unfolded`` holds the
-    target's unfoldings along A and B and its (AB, C) matricization.
-    """
-    a, b, c = core.shape
-    t_a, t_b, t_c = unfolded
-    along_c = core @ g[2].T
-    x = g[1] @ along_c
-    g[0] = _polar_unitary(t_a @ x.reshape(a, -1).conj().T)
-    x = (g[0] @ along_c.reshape(a, -1)).reshape(a, b, c)
-    g[1] = _polar_unitary(t_b @ x.transpose(1, 0, 2).reshape(b, -1).conj().T)
-    x = (g[1] @ (g[0] @ core.reshape(a, -1)).reshape(a, b, c)).reshape(-1, c)
-    g[2] = _polar_unitary(t_c.T @ x.conj())
-    return float(np.linalg.norm(t_c - x @ g[2].T))
+def _sweep(core: np.ndarray, target: np.ndarray, g: list) -> float:
+    """Replace g[A], g[B], g[C] in turn by their :func:`_refit`; the new residual."""
+    for p in range(3):
+        g[p], residual = _refit(core, target, p, g)
+    return residual
 
 
 def _one_block_start(
@@ -362,8 +375,8 @@ def _one_block_start(
     so T^dagger T = D^* X^dagger X D: the phase ratios of the two Gram
     matrices are conj(d_j) d_k.  They are factored on the Gram rows of the
     strongest column for each index of the two parties, and G_p is the
-    Procrustes optimum polar(T (X D)^dagger).  Returns the three G and the
-    residual ||T - G_p X D||.
+    :func:`_refit` of party p.  Returns the three G and the residual
+    ||T - G_p X D||.
     """
     x = np.moveaxis(core, p, 0)
     pair = x.shape[1:]
@@ -378,11 +391,10 @@ def _one_block_start(
     (_, phi, psi), _ = _solve_phase_product(
         _phase_ratio(gram_t, gram).reshape(-1, *pair), np.abs(gram).reshape(-1, *pair)
     )
-    mapped = x * np.outer(phi, psi).ravel()
-    g_p = _polar_unitary(t @ mapped.conj().T)
     g = [np.diag(phi), np.diag(psi)]
-    g.insert(p, g_p)
-    return g, float(np.linalg.norm(t - g_p @ mapped))
+    g.insert(p, None)
+    g[p], residual = _refit(core, target, p, g)
+    return g, residual
 
 
 def _block_unitary(groups: tuple[slice, ...], rng: np.random.Generator) -> np.ndarray:
@@ -472,18 +484,12 @@ def gauge_search(
         best = float(np.linalg.norm(target - outer * core))
         g = [np.diag(phase) for phase in phases]
     best_g = list(g)
-    a, b, c = core.shape
-    unfolded = (
-        target.reshape(a, -1),
-        target.transpose(1, 0, 2).reshape(b, -1),
-        target.reshape(-1, c),
-    )
     rng = np.random.default_rng(seed)
     last = best
     for _ in range(0 if obstruction else budget):
         if best <= tols.reconstruction:
             break
-        residual = _sweep(core, unfolded, g)
+        residual = _sweep(core, target, g)
         if residual < best:
             best_g, best = list(g), residual
         if residual > last * (1.0 - _MIN_GAIN):
@@ -505,46 +511,43 @@ def _certify(
 ) -> TripartiteDecision | None:
     """Verified decision from candidate local factors, or None.
 
-    U_B and U_C are snapped to exact unitaries and U_A is recomputed by
-    Procrustes against the raw cut-A matricizations.  The verdict stands only
-    if the three local unitaries map the raw amplitude tensor onto the second
-    state within the reconstruction tolerance.
+    U_B and U_C stay as the search built them, products of unitaries, and
+    U_A is their :func:`_refit` on the raw amplitude tensors.  The verdict
+    stands only if its residual and every factor's unitarity defect pass.
     """
-    u_b, u_c = (_polar_unitary(u) for u in factors[1:])
-    mapped_rows = (u_b @ state.amplitudes @ u_c.T).reshape(state.dims[0], -1)
-    u_a = _polar_unitary(matricize(other, Cut.A) @ mapped_rows.conj().T)
-    factors = (u_a, u_b, u_c)
-    mapped = apply_local_unitaries(state, *factors, unitarity_tol=tols.unitarity)
-    residual = float(np.linalg.norm(mapped.amplitudes - other.amplitudes))
-    if residual > tols.reconstruction:
+    g = list(factors)
+    g[0], residual = _refit(state.amplitudes, other.amplitudes, 0, g)
+    if residual > tols.reconstruction or max(map(unitarity_defect, g)) > tols.unitarity:
         return None
     return TripartiteDecision(
-        verdict=Verdict.EQUIVALENT_D1, local_factors=factors, residual=residual
+        verdict=Verdict.EQUIVALENT_D1, local_factors=tuple(g), residual=residual
     )
 
 
-def _state_frame(state: TripartiteState) -> StateFrame:
-    """Frame of ``state`` from one SVD per cut: bases, spectra, groups, core."""
-    bases, spectra, groups = [], [], []
+def _cut_svds(state: TripartiteState) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Left singular vectors and singular values of cuts A, B and C, one SVD each."""
+    svds = []
     for cut in Cut:
         a = matricize(state, cut)
         # Only a cut with more rows than columns needs the full left factor.
         vecs, spectrum, _ = np.linalg.svd(a, full_matrices=a.shape[0] > a.shape[1])
-        vals = np.concatenate((spectrum**2, np.zeros(a.shape[0] - spectrum.size)))
+        svds.append((vecs, spectrum))
+    return svds
+
+
+def _state_frame(state: TripartiteState, svds: list) -> StateFrame:
+    """Frame of ``state`` from its :func:`_cut_svds`: bases, spectra, groups, core."""
+    groups = []
+    for vecs, spectrum in svds:
+        vals = np.concatenate((spectrum**2, np.zeros(vecs.shape[0] - spectrum.size)))
         joined = (vals[:-1] > _EIG_GAP) & (vals[:-1] - vals[1:] < _EIG_GAP)
         edges = [0, *(np.flatnonzero(~joined) + 1).tolist(), vals.size]
         groups.append(tuple(slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])))
-        bases.append(vecs)
-        spectra.append(spectrum)
+    bases, spectra = zip(*svds)
     e_a, e_b, e_c = (e.conj().T for e in bases)
     k, m, n = state.dims
     core = e_b @ (e_a @ (state.amplitudes @ e_c.T).reshape(k, -1)).reshape(k, m, n)
-    return StateFrame(
-        bases=tuple(bases),
-        spectra=tuple(spectra),
-        core=core,
-        groups=tuple(groups),
-    )
+    return StateFrame(bases=bases, spectra=spectra, core=core, groups=tuple(groups))
 
 
 def check_di(
@@ -576,9 +579,9 @@ def decide_equivalence(
 ) -> TripartiteDecision:
     """Full decision: spectra on all three cuts, then one search in the frames.
 
-    Each state is put into its frame once, and a cut whose singular spectra
-    in the frames differ proves inequivalence outright, so cuts A, B and C
-    are compared first.  Otherwise :func:`gauge_search` spends at most
+    One SVD per cut gives the spectra of cuts A, B and C, compared first; a
+    cut whose spectra differ proves inequivalence outright.  Otherwise the
+    same SVDs give both frames and :func:`gauge_search` spends at most
     ``gauge_budget`` sweeps looking for local unitaries between them.  A
     candidate whose frame residual passes is re-verified against the raw
     tensors by :func:`_certify` and returned as ``EQUIVALENT_D1`` with the
@@ -589,14 +592,17 @@ def decide_equivalence(
     if state.dims != other.dims:
         raise ValueError(f"dimension mismatch: {state.dims} vs {other.dims}")
 
-    first, second = _state_frame(state), _state_frame(other)
-    spectra = tuple(tuple(tuple(s.tolist()) for s in f.spectra) for f in (first, second))
-    for cut, sa, sb in zip(Cut, first.spectra, second.spectra):
-        if (witness := _spectrum_witness(sa, sb, tols.spectra, cut)) is not None:
+    svds = _cut_svds(state), _cut_svds(other)
+    spectra = tuple(tuple(tuple(s.tolist()) for _, s in side) for side in svds)
+    size = state.amplitudes.size
+    for cut, d, (_, sa), (_, sb) in zip(Cut, state.dims, *svds):
+        witness = _spectrum_witness(sa, sb, tols.spectra, cut, (d, size // d))
+        if witness is not None:
             return TripartiteDecision(
                 verdict=Verdict.INVARIANTS_DIFFER, witness=witness, spectra=spectra
             )
 
+    first, second = (_state_frame(s, c) for s, c in zip((state, other), svds))
     factors, residual, obstruction = gauge_search(first, second, gauge_budget, tols, seed)
     if residual <= tols.reconstruction:
         decision = _certify(state, other, factors, tols)

@@ -59,8 +59,14 @@ class TestInvariantsCommand:
 
     def test_invalid_nested_labels_exit_code(self, golden_files, capsys):
         code = main(["invariants", golden_files[0], "--nested", "1", "1", "1", "1"])
-        assert code == 65
-        assert "differ" in capsys.readouterr().err
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "--nested" in err and "differ" in err
+
+    def test_nested_label_out_of_range_is_a_usage_error(self, golden_files, capsys):
+        code = main(["invariants", golden_files[0], "--nested", "1", "4", "1", "1"])
+        assert code == 64
+        assert "--nested" in capsys.readouterr().err
 
 
 class TestCheckCommand:
@@ -186,6 +192,18 @@ class TestCheckCommand:
         assert captured.out == ""
         assert "--spec-tol" in captured.err
 
+    @pytest.mark.parametrize("spec_tol", ["1e-16", "1e-300"])
+    def test_tiny_spec_tol_does_not_refute_an_lu_pair(self, lu_files, spec_tol, capsys):
+        # The pair's spectra differ by rounding alone, which is no witness.
+        assert main(["check", *lu_files, "--spec-tol", spec_tol]) == 0
+        assert "equivalent-d1" in capsys.readouterr().out
+
+    def test_negative_seed_is_a_usage_error(self, golden_files, capsys):
+        assert main(["check", *golden_files, "--seed", "-5"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err
+
     def test_infinite_tol_is_a_usage_error(self, lu_files, capsys):
         # An infinite tolerance would also write the non-JSON token Infinity.
         assert main(["check", *lu_files, "--tol", "inf", "--json"]) == 64
@@ -248,6 +266,13 @@ class TestFactorizeCommand:
         assert main(["factorize", str(path), "-m", "2", "-n", "2"]) == 65
         assert "not unitary" in capsys.readouterr().err
 
+    def test_negative_split_is_a_usage_error(self, tmp_path, capsys):
+        # m * n = 3 would otherwise reach the realignment with a 3x3 matrix.
+        path = tmp_path / "u.mat"
+        path.write_text(serialize_matrix(np.eye(3, dtype=complex)))
+        assert main(["factorize", str(path), "-m", "-1", "-n", "-3"]) == 64
+        assert "-m" in capsys.readouterr().err
+
     def test_wrong_shape_reported(self, tmp_path, capsys):
         path = tmp_path / "odd.mat"
         path.write_text(serialize_matrix(np.eye(5, dtype=complex)))
@@ -276,6 +301,15 @@ class TestRandomCommand:
         args = ["random", "--dims", "2", "2", "2", "--count", "-3", "--out", str(tmp_path)]
         assert main(args) == 64
         assert "--count" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "bad", [["--seed", "-1"], ["--dims", "2", "0", "2"]], ids=["seed", "dims"]
+    )
+    def test_out_of_range_value_is_a_usage_error(self, bad, tmp_path, capsys):
+        args = ["random", "--dims", "2", "2", "2", "--out", str(tmp_path), *bad]
+        assert main(args) == 64
+        assert bad[0] in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_emitted_pair_checks_equivalent(self, tmp_path, capsys):
@@ -349,8 +383,8 @@ class TestFactorisationCounts:
 
     def test_decision(self, pair, counts):
         decide_equivalence(*pair)
-        # Six cuts, then the two snaps and the Procrustes refit of _certify.
-        assert counts == {"svd": 9, "eigh": 0}
+        # Six cuts, then the Procrustes refit of U_A in _certify.
+        assert counts == {"svd": 7, "eigh": 0}
 
     def test_report(self, pair, counts):
         decision = decide_equivalence(*pair)

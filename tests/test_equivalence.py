@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,16 @@ class TestBipartiteEquivalent:
         with pytest.raises(ValueError, match="shape"):
             bipartite_equivalent(np.zeros((2, 4)), np.zeros((2, 6)))
 
+    @pytest.mark.parametrize("spectra", [1e-15, 1e-17, 1e-300])
+    def test_rounding_alone_is_no_witness(self, spectra):
+        # The two spectra of an equivalent pair differ by a few eps.
+        rng = np.random.default_rng(4)
+        for trial in range(50):
+            a = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+            b = random_unitary(3, rng) @ a @ random_unitary(6, rng).T
+            cert = bipartite_equivalent(a, b, Tolerances(spectra=spectra))
+            assert not isinstance(cert, SpectrumWitness)
+
     def test_residual_failure_is_certificate_error(self):
         # Spectra inside the loose equality tolerance but far beyond the
         # reconstruction tolerance: construction must refuse, not fabricate.
@@ -108,8 +119,8 @@ def _with_noise(state, norm, rng):
     )
 
 
-def _frames(first, second):
-    return equivalence._state_frame(first), equivalence._state_frame(second)
+def _frames(*states):
+    return tuple(equivalence._state_frame(s, equivalence._cut_svds(s)) for s in states)
 
 
 def _rotated_ghz(d=2, seed=11):
@@ -376,13 +387,17 @@ def _verdict_class(decision):
     dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
     trial=st.integers(0, 2**16),
     rank_deficient=st.booleans(),
+    log_spec_tol=st.integers(-300, -9),
 )
-@example(dims=(5, 2, 2), trial=0, rank_deficient=False)
-@example(dims=(6, 1, 3), trial=0, rank_deficient=False)
-@example(dims=(6, 1, 3), trial=0, rank_deficient=True)
-def test_lu_rotated_pairs_are_never_refuted(dims, trial, rank_deficient):
+@example(dims=(5, 2, 2), trial=0, rank_deficient=False, log_spec_tol=-9)
+@example(dims=(6, 1, 3), trial=0, rank_deficient=False, log_spec_tol=-9)
+@example(dims=(6, 1, 3), trial=0, rank_deficient=True, log_spec_tol=-9)
+@example(dims=(1, 1, 1), trial=0, rank_deficient=False, log_spec_tol=-300)
+@example(dims=(5, 5, 5), trial=0, rank_deficient=False, log_spec_tol=-300)
+def test_lu_rotated_pairs_are_never_refuted(dims, trial, rank_deficient, log_spec_tol):
     # Cuts with more rows than columns (cut A of 5x2x2 and 6x1x3) take the
-    # frame's full SVD; the others its thin one.
+    # frame's full SVD; the others its thin one.  However small the spectra
+    # tolerance, the rounding of an LU pair's spectra is no witness.
     state, rotated, factors = _lu_pair(dims, trial)
     if rank_deficient:
         rng = np.random.default_rng(trial)
@@ -392,8 +407,9 @@ def test_lu_rotated_pairs_are_never_refuted(dims, trial, rank_deficient):
         rotated = apply_local_unitaries(state, *factors)
     other = _lu_pair(dims, trial + 1)[0]
     refuted = decide_equivalence(state, other)
-    forward = decide_equivalence(state, rotated)
-    backward = decide_equivalence(rotated, state)
+    tols = Tolerances(spectra=10.0**log_spec_tol)
+    forward = decide_equivalence(state, rotated, tols)
+    backward = decide_equivalence(rotated, state, tols)
     for decision, first, second in (
         (forward, state, rotated),
         (backward, rotated, state),
@@ -441,6 +457,42 @@ def test_infinite_tolerances_do_not_certify_an_unrelated_pair():
             random_state((3, 3, 3), 2),
             Tolerances(spectra=np.inf, reconstruction=np.inf),
         )
+
+
+def test_unitarity_tolerance_controls_the_certificate():
+    state, rotated, _ = _lu_pair((3, 4, 5), 0)
+    assert decide_equivalence(state, rotated).verdict is Verdict.EQUIVALENT_D1
+    decision = decide_equivalence(state, rotated, Tolerances(unitarity=1e-300))
+    assert decision.verdict is Verdict.INCONCLUSIVE
+    assert decision.local_factors is None
+    assert decision.residual <= 1e-9
+
+
+def test_procrustes_is_reached_only_through_refit(monkeypatch):
+    # Besides the cut SVDs, every SVD of a decision is the polar factor in
+    # _refit: a generic pair needs it only to certify, a state maximally
+    # entangled across A starts from the one-block refit, GHZ needs sweeps.
+    callers = []
+    svd = np.linalg.svd
+
+    def record(*args, **kwargs):
+        frames = sys._getframe(1), sys._getframe(2)
+        callers.append(tuple(frame.f_code.co_name for frame in frames))
+        return svd(*args, **kwargs)
+
+    max_a = _max_entangled_a((3, 3, 3), np.random.default_rng(0))
+    factors = (random_unitary(3, seed) for seed in range(3))
+    pairs = (
+        _lu_pair((3, 4, 5), 0)[:2],
+        (max_a, apply_local_unitaries(max_a, *factors)),
+        _rotated_ghz(),
+    )
+    monkeypatch.setattr(np.linalg, "svd", record)
+    for first, second in pairs:
+        _assert_certified(decide_equivalence(first, second), first, second)
+    refits = {user for caller, user in callers if caller == "_refit"}
+    assert {caller for caller, _ in callers} == {"_cut_svds", "_refit"}
+    assert refits == {"_sweep", "_one_block_start", "_certify"}
 
 
 def _assert_certified(decision, first, second):
