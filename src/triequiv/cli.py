@@ -29,12 +29,12 @@ from .fileio import (
     serialize_matrix,
     serialize_state,
 )
-from .invariants import nested_invariant, power_sums, singular_spectrum
+from .invariants import check_nested, nested_invariant, power_sums, singular_spectrum
 # Not called here: perfbench/tracing.py wraps this name on this module.
 from .invariants import power_sum_invariants  # noqa: F401
 from .realign import is_unitarily_decomposable
 from .states import Cut, apply_local_unitaries, random_state, random_unitary
-from .tolerances import Tolerances
+from .tolerances import DEFAULT_TOLERANCES, RANK1_TOL, Tolerances, check_tolerance
 
 EXIT_EQUIVALENT = 0
 EXIT_INVARIANTS_DIFFER = 1
@@ -64,19 +64,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _tolerances(args) -> Tolerances:
-    tols = Tolerances()
-    for option, field, value in (
-        ("--spec-tol", "spectra", args.spec_tol),
-        ("--tol", "reconstruction", args.tol),
-    ):
-        try:
-            tols = dataclasses.replace(tols, **{field: value})
-        except ValueError as exc:
-            raise UsageError(f"{option}: {exc}") from None
-    return tols
-
-
 def _int_from(low: int):
     """argparse type for an integer no less than ``low``."""
 
@@ -89,10 +76,23 @@ def _int_from(low: int):
     return integer
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for a tolerance: a finite float > 0."""
+    try:
+        return check_tolerance("tolerance", float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # ---------------------------------------------------------------- invariants
 
 
 def _cmd_invariants(args) -> int:
+    if args.nested is not None:
+        try:
+            check_nested(*args.nested)
+        except ValueError as exc:
+            raise UsageError(f"--nested: {exc}") from None
     state = load_state(args.state, strict=args.strict)
     lines = [f"dims: {state.dims[0]} {state.dims[1]} {state.dims[2]}"]
     report = {
@@ -111,10 +111,7 @@ def _cmd_invariants(args) -> int:
         lines.append(f"{_CUT_LETTER[cut]} (cut {_CUT_LABEL[cut]}): {rendered}")
     if args.nested is not None:
         outer, inner, alpha, beta = args.nested
-        try:
-            value = nested_invariant(state, outer, inner, alpha, beta)
-        except ValueError as exc:
-            raise UsageError(f"--nested: {exc}") from None
+        value = nested_invariant(state, outer, inner, alpha, beta)
         report["nested"] = {
             "outer": outer,
             "inner": inner,
@@ -217,7 +214,7 @@ def _cmd_check(args) -> int:
     if len(paths) < 2 or len(paths) % 2 != 0:
         raise UsageError("check expects an even number of state paths (pairs)")
     pairs = [(paths[i], paths[i + 1]) for i in range(0, len(paths), 2)]
-    tols = _tolerances(args)
+    tols = Tolerances(spectra=args.spec_tol, reconstruction=args.tol)
     results = [_run_pair(pair, args, tols) for pair in pairs]
     outputs = [output for output, _ in results]
 
@@ -338,9 +335,12 @@ def build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="decide equivalence of state pairs")
     p_check.add_argument("states", nargs="+", help="state files, taken in pairs")
-    p_check.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+    tols = DEFAULT_TOLERANCES
     p_check.add_argument(
-        "--spec-tol", type=float, default=1e-9, help="spectrum equality tolerance"
+        "--tol", type=_tolerance, default=tols.reconstruction, help="residual tolerance"
+    )
+    p_check.add_argument(
+        "--spec-tol", type=_tolerance, default=tols.spectra, help="spectrum equality tolerance"
     )
     p_check.add_argument(
         "--gauge-iters",
@@ -360,7 +360,7 @@ def build_parser() -> _Parser:
     p_fac.add_argument("-m", type=_int_from(1), required=True, help="left factor dimension")
     p_fac.add_argument("-n", type=_int_from(1), required=True, help="right factor dimension")
     p_fac.add_argument(
-        "--rank1-tol", type=float, default=1e-8, help="realignment defect threshold"
+        "--rank1-tol", type=_tolerance, default=RANK1_TOL, help="realignment defect threshold"
     )
     p_fac.add_argument("--json", action="store_true", help="emit a JSON report")
     p_fac.set_defaults(func=_cmd_factorize)

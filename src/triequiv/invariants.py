@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import Cut, TripartiteState, matricize
-from .tolerances import INVARIANT_TOL
+from .tolerances import INVARIANT_TOL, check_tolerance
 
 #: Imaginary residue above which a nominally real invariant is rejected.
 _IMAG_TOL = 1e-12
@@ -69,11 +69,23 @@ def invariants_equal(
     v: InvariantVector, w: InvariantVector, tol: float = INVARIANT_TOL
 ) -> bool:
     """True when two invariant vectors of the same cut agree entrywise within tol."""
+    check_tolerance("tol", tol)
     if v.cut is not w.cut:
         raise ValueError(f"cut mismatch: {v.cut} vs {w.cut}")
     if v.max_order != w.max_order:
         raise ValueError(f"length mismatch: {v.max_order} vs {w.max_order}")
     return max(abs(a - b) for a, b in zip(v.values, w.values)) <= tol
+
+
+def check_nested(outer: int, inner: int, alpha: int, beta: int) -> None:
+    """Raise ``ValueError`` unless :func:`nested_invariant` accepts these arguments."""
+    if inner == outer:
+        raise ValueError("inner and outer subsystems must differ")
+    for name, label in (("outer", outer), ("inner", inner)):
+        if label not in (1, 2, 3):
+            raise ValueError(f"{name} subsystem must be 1, 2, or 3, got {label}")
+    if alpha < 1 or beta < 1:
+        raise ValueError(f"powers must be >= 1, got alpha={alpha}, beta={beta}")
 
 
 def nested_invariant(
@@ -86,27 +98,15 @@ def nested_invariant(
     then ``outer`` is traced out of what remains and the result raised to
     ``beta`` before the final trace.
     """
-    if inner == outer:
-        raise ValueError("inner and outer subsystems must differ")
-    for name, label in (("outer", outer), ("inner", inner)):
-        if label not in (1, 2, 3):
-            raise ValueError(f"{name} subsystem must be 1, 2, or 3, got {label}")
-    if alpha < 1 or beta < 1:
-        raise ValueError(f"powers must be >= 1, got alpha={alpha}, beta={beta}")
-
+    check_nested(outer, inner, alpha, beta)
     a = state.amplitudes
-    proj = np.tensordot(a, a.conj(), axes=0)  # (K,M,N,K,M,N) projector
-    rho = np.trace(proj, axis1=inner - 1, axis2=inner - 1 + 3)
+    # Tr_inner |psi><psi| as a (d1, d2, d1, d2) tensor, in KMN * d_inner memory.
+    rho = np.tensordot(a, a.conj(), axes=(inner - 1, inner - 1))
 
     d1, d2 = rho.shape[0], rho.shape[1]
     mat = np.linalg.matrix_power(rho.reshape(d1 * d2, d1 * d2), alpha)
-    rho4 = mat.reshape(d1, d2, d1, d2)
-
-    remaining = sorted({1, 2, 3} - {inner})
-    if remaining.index(outer) == 0:
-        reduced = np.trace(rho4, axis1=0, axis2=2)
-    else:
-        reduced = np.trace(rho4, axis1=1, axis2=3)
+    axis = sorted({1, 2, 3} - {inner}).index(outer)
+    reduced = np.trace(mat.reshape(d1, d2, d1, d2), axis1=axis, axis2=axis + 2)
 
     out = np.trace(np.linalg.matrix_power(reduced, beta))
     if abs(out.imag) > _IMAG_TOL:

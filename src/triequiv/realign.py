@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import unitarity_defect
-from .tolerances import RANK1_TOL, RANK_REL_TOL, RECON_TOL, UNITARITY_TOL
+from .tolerances import DEFAULT_TOLERANCES, RANK1_TOL, RANK_REL_TOL, check_tolerance
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -48,15 +48,15 @@ def realign(z: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(blocks.transpose(2, 0, 3, 1).reshape(m * m, n * n))
 
 
-def numerical_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Count singular values above rel_tol times the largest one.
+def numerical_rank(a: np.ndarray) -> int:
+    """Count singular values above ``RANK_REL_TOL`` times the largest one.
 
     The zero matrix has rank 0.
     """
     s = np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,7 @@ def kron_factorize(
     ambiguity (cX) (x) (Y/c) is fixed by balancing ||X||_F = ||Y||_F and
     making the largest-magnitude entry of X real and positive.
     """
+    check_tolerance("rank1_tol", rank1_tol)
     u = np.asarray(u, dtype=np.complex128)
     tilde = realign(u, m, n)
     w, s, vh = np.linalg.svd(tilde)
@@ -124,28 +125,24 @@ def kron_factorize(
 
 
 def is_unitarily_decomposable(
-    u: np.ndarray,
-    m: int,
-    n: int,
-    rank1_tol: float = RANK1_TOL,
-    unitarity_tol: float = UNITARITY_TOL,
-    recon_tol: float = RECON_TOL,
+    u: np.ndarray, m: int, n: int, rank1_tol: float = RANK1_TOL
 ) -> KronFactorization:
     """Test whether a unitary U factors as a Kronecker product of unitaries.
 
     Non-unitary input is rejected with ``ValueError`` (a caller bug, distinct
     from a unitary that merely fails to factor).  On a rank-one realignment
     the rescaled factors are verified to be unitary and to reproduce U within
-    ``recon_tol``; any verification failure downgrades the result to
+    ``DEFAULT_TOLERANCES``; any verification failure downgrades the result to
     not-decomposable while keeping the diagnostic defect.
     """
+    tols = DEFAULT_TOLERANCES
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (m * n, m * n):
         raise ValueError(f"expected shape ({m * n}, {m * n}), got {u.shape}")
     defect = unitarity_defect(u)
-    if defect > unitarity_tol:
+    if defect > tols.unitarity:
         raise ValueError(
-            f"input is not unitary (defect {defect:.3e} > {unitarity_tol})"
+            f"input is not unitary (defect {defect:.3e} > {tols.unitarity})"
         )
     f = kron_factorize(u, m, n, rank1_tol)
     if not f.decomposable:
@@ -153,9 +150,9 @@ def is_unitarily_decomposable(
     u1, u2 = f.unitary_factors()
     residual = float(np.linalg.norm(u - f.product()))
     if (
-        unitarity_defect(u1) > unitarity_tol
-        or unitarity_defect(u2) > unitarity_tol
-        or residual > recon_tol
+        unitarity_defect(u1) > tols.unitarity
+        or unitarity_defect(u2) > tols.unitarity
+        or residual > tols.reconstruction
     ):
         return dataclasses.replace(f, decomposable=False)
     return f

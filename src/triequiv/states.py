@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tolerances import NORM_TOL, UNITARITY_TOL
+from .tolerances import DEFAULT_TOLERANCES, NORM_TOL
 
 
 class Cut(Enum):
@@ -111,16 +111,16 @@ def apply_local_unitaries(
     u1: np.ndarray,
     u2: np.ndarray,
     u3: np.ndarray,
-    unitarity_tol: float = UNITARITY_TOL,
 ) -> TripartiteState:
     """Apply the product unitary u1 (x) u2 (x) u3 to the state.
 
     Each factor must be square of the matching subsystem dimension and
-    unitary within ``unitarity_tol``; anything else is rejected.  The result
-    is renormalized, since factors that pass the unitarity check may still
-    scale the norm by more than ``NORM_TOL``.
+    unitary within ``DEFAULT_TOLERANCES.unitarity``; anything else is
+    rejected.  The result is renormalized, since factors that pass the
+    unitarity check may still scale the norm by more than ``NORM_TOL``.
     """
     factors = (u1, u2, u3)
+    tol = DEFAULT_TOLERANCES.unitarity
     for pos, (mat, dim) in enumerate(zip(factors, state.dims), start=1):
         mat = np.asarray(mat)
         if mat.shape != (dim, dim):
@@ -128,9 +128,9 @@ def apply_local_unitaries(
                 f"factor {pos} has shape {mat.shape}, expected ({dim}, {dim})"
             )
         defect = unitarity_defect(mat)
-        if defect > unitarity_tol:
+        if defect > tol:
             raise ValueError(
-                f"factor {pos} is not unitary (defect {defect:.3e} > {unitarity_tol})"
+                f"factor {pos} is not unitary (defect {defect:.3e} > {tol})"
             )
     out = np.einsum("ia,jb,kc,abc->ijk", u1, u2, u3, state.amplitudes, optimize=True)
     return TripartiteState.from_unnormalized(out)

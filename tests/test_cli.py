@@ -68,6 +68,12 @@ class TestInvariantsCommand:
         assert code == 64
         assert "--nested" in capsys.readouterr().err
 
+    def test_nested_labels_are_checked_before_the_file_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.state")
+        assert main(["invariants", missing, "--nested", "1", "1", "1", "1"]) == 64
+        assert "--nested" in capsys.readouterr().err
+        assert main(["invariants", missing, "--nested", "2", "1", "1", "1"]) == 65
+
 
 class TestCheckCommand:
     def test_equivalent_pair_exit_zero(self, golden_files, capsys):
@@ -167,6 +173,10 @@ class TestCheckCommand:
         fields = {field.name for field in dataclasses.fields(Tolerances)}
         assert set(report["tolerances"]) == fields
         assert report["tolerances"]["reconstruction"] == 2e-9
+        # Without options the report holds the library's defaults.
+        assert main(["check", *golden_files, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["tolerances"] == dataclasses.asdict(Tolerances())
 
     def test_multiple_pairs_and_jobs(self, golden_files, tmp_path, capsys):
         p1 = tmp_path / "p.state"
@@ -210,6 +220,16 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--tol" in captured.err
+
+    @pytest.mark.parametrize("option", ["--tol", "--spec-tol"])
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+    def test_tolerance_not_finite_and_positive_is_a_usage_error(
+        self, golden_files, option, bad, capsys
+    ):
+        assert main(["check", *golden_files, option, bad]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err
 
     def test_negative_gauge_iters_is_a_usage_error(self, golden_files, capsys):
         assert main(["check", *golden_files, "--gauge-iters", "-5"]) == 64
@@ -272,6 +292,19 @@ class TestFactorizeCommand:
         path.write_text(serialize_matrix(np.eye(3, dtype=complex)))
         assert main(["factorize", str(path), "-m", "-1", "-n", "-3"]) == 64
         assert "-m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+    def test_rank1_tol_not_finite_and_positive_is_a_usage_error(
+        self, tmp_path, bad, capsys
+    ):
+        # A negative threshold would report the identity as not decomposable.
+        path = tmp_path / "eye.mat"
+        path.write_text(serialize_matrix(np.eye(4, dtype=complex)))
+        args = ["factorize", str(path), "-m", "2", "-n", "2", "--rank1-tol", bad]
+        assert main(args) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--rank1-tol" in captured.err
 
     def test_wrong_shape_reported(self, tmp_path, capsys):
         path = tmp_path / "odd.mat"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,13 @@ class TestInvariantsEqual:
                 power_sum_invariants(state, Cut.A, max_order=3),
             )
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_tol_must_be_finite_and_positive(self, bad):
+        # A negative tolerance would call a vector unequal to itself.
+        v = power_sum_invariants(random_state((2, 2, 2), seed=3), Cut.A)
+        with pytest.raises(ValueError, match="tol"):
+            invariants_equal(v, v, tol=bad)
+
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
             InvariantVector(cut=Cut.A, values=())
@@ -188,6 +197,17 @@ class TestNestedInvariant:
         state = random_state((2, 2, 2), seed=43)
         with pytest.raises(ValueError, match="differ"):
             nested_invariant(state, 1, 1, 1, 1)
+
+    def test_memory_is_linear_in_the_state(self):
+        # The (KMN)^2 projector alone would be 16 MB at 10^3.
+        state = random_state((10, 10, 10), seed=47)
+        tracemalloc.start()
+        try:
+            nested_invariant(state, 2, 1, 2, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_rejects_bad_labels_and_powers(self):
         state = random_state((2, 2, 2), seed=43)
