@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 
@@ -43,9 +42,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 _EXIT_FOR_VERDICT = {
-    Verdict.EQUIVALENT_D1: EXIT_EQUIVALENT,
-    Verdict.EQUIVALENT_D2: EXIT_EQUIVALENT,
-    Verdict.EQUIVALENT_D3: EXIT_EQUIVALENT,
+    **dict.fromkeys(EQUIVALENT_VERDICTS, EXIT_EQUIVALENT),
     Verdict.INVARIANTS_DIFFER: EXIT_INVARIANTS_DIFFER,
     Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
@@ -197,9 +194,7 @@ def _run_pair(pair, args, tols) -> tuple[str | dict, int]:
     state = load_state(first_path, strict=args.strict)
     other = load_state(second_path, strict=args.strict)
     start = time.perf_counter()
-    decision = decide_equivalence(
-        state, other, tols=tols, gauge_budget=args.gauge_iters, seed=args.seed
-    )
+    decision = decide_equivalence(state, other, tols=tols, gauge_budget=args.gauge_iters)
     elapsed = time.perf_counter() - start
     inputs = (str(first_path), str(second_path))
     if args.json:
@@ -218,12 +213,10 @@ def _cmd_check(args) -> int:
     results = [_run_pair(pair, args, tols) for pair in pairs]
     outputs = [output for output, _ in results]
 
-    if not args.json:
-        print("\n".join(outputs))
-    elif len(outputs) == 1:
-        sys.stdout.write(report_to_json(outputs[0]))
+    if args.json:
+        sys.stdout.write(report_to_json(outputs[0] if len(outputs) == 1 else outputs))
     else:
-        sys.stdout.write(json.dumps(outputs, indent=2, sort_keys=True) + "\n")
+        print("\n".join(outputs))
     return max(code for _, code in results)
 
 
@@ -350,7 +343,6 @@ def build_parser() -> _Parser:
     )
     p_check.add_argument("--strict", action="store_true", help="reject off-norm input")
     p_check.add_argument("--json", action="store_true", help="emit JSON reports")
-    p_check.add_argument("--seed", type=_int_from(0), default=0, help="gauge search seed")
     p_check.set_defaults(func=_cmd_check)
 
     p_fac = sub.add_parser(
@@ -393,7 +385,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (StateFormatError, OSError, ValueError) as exc:
+    except (StateFormatError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -123,15 +123,15 @@ class StateFrame:
     """Left singular vectors of the three cuts and the core tensor in them.
 
     ``bases[p]`` holds cut p's left singular vectors (party p's reduction
-    eigenvectors) as columns, ``spectra[p]`` its singular values, descending,
-    whose squares padded with zeros to d_p are the eigenvalues.  ``groups[p]``
-    splits the indices into runs of eigenvalues above ``_EIG_GAP`` that lie
-    closer than ``_EIG_GAP``; each smaller one, where the state has (almost)
-    no weight, is a group of its own.
+    eigenvectors) as columns, ``eigenvalues[p]`` the squares of its singular
+    values, descending, padded with zeros to d_p.  ``groups[p]`` splits the
+    indices into runs of eigenvalues above ``_EIG_GAP`` that lie closer than
+    ``_EIG_GAP``; each smaller one, where the state has (almost) no weight,
+    is a group of its own.
     """
 
     bases: tuple[np.ndarray, np.ndarray, np.ndarray]
-    spectra: tuple[np.ndarray, np.ndarray, np.ndarray]
+    eigenvalues: tuple[np.ndarray, np.ndarray, np.ndarray]
     core: np.ndarray
     groups: tuple[tuple[slice, ...], ...]
 
@@ -280,9 +280,9 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     ``chi`` holds unit complex numbers; entries whose ``weight`` falls below
     ``_PHASE_CUTOFF`` times the largest weight are ignored (their phases are
     noise).  Each sweep assigns every unknown factor that some entry with
-    exactly one unknown determines, from the strongest such entry.  When no
-    entry has exactly one unknown and nothing is known yet, the strongest
-    entry's beta_s and phi_p are set to 1, a gauge choice.  Later a factor
+    exactly one unknown determines, from the strongest such entry; before
+    the first sweep the strongest entry's beta_s and phi_p are set to 1, a
+    gauge choice.  When no entry has exactly one unknown, a further factor
     set to 1 could lie on a cycle of entries that fixes it up to a root of
     unity, so the open entries are solved exactly instead, by
     :func:`_solve_angles`.
@@ -305,6 +305,7 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     target = chi[s, p, q][strongest]
     value = np.ones(r + m + n, dtype=np.complex128)
     known = np.zeros(r + m + n, dtype=bool)
+    known[nodes[:2, :1]] = True  # the gauge choice; nothing when no entry counts
     # Entries whose angle equation fixed a factor: the cycles live on these.
     used = np.zeros(target.size, dtype=bool)
     while True:
@@ -323,9 +324,6 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
         open_entries = np.flatnonzero(missing)
         if not open_entries.size:
             break
-        if not known.any():
-            known[nodes[:2, open_entries[0]]] = True
-            continue
         sub = nodes[:, open_entries]
         hit = ~known[sub]
         # Not np.unique: its hashing path costs ~1.5 MB of RSS on first use.
@@ -422,8 +420,7 @@ def _obstruction(
     index, coefficients, holonomy = cycle
     tau = tols.reconstruction
     beta = tau
-    for spectrum, dim, touched in zip(frame.spectra, frame.core.shape, index.T):
-        vals = np.concatenate((spectrum**2, np.zeros(dim - spectrum.size)))
+    for vals, touched in zip(frame.eigenvalues, index.T):
         step = np.abs(np.diff(vals))
         gap = np.minimum(np.append(step, np.inf), np.insert(step, 0, np.inf))
         with np.errstate(divide="ignore"):
@@ -445,7 +442,6 @@ def gauge_search(
     second: StateFrame,
     budget: int = DEFAULT_GAUGE_BUDGET,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    seed: int = 0,
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float, PhaseObstruction | None]:
     """Local unitaries that carry the first frame's state towards the second's.
 
@@ -462,10 +458,10 @@ def gauge_search(
     exists and no sweep is run.  Otherwise, until the residual passes
     ``tols.reconstruction`` or ``budget`` sweeps are spent, each sweep
     updates every G_p in turn by Procrustes, and a sweep that gains less
-    than ``_MIN_GAIN`` restarts from a seeded random unitary that is
-    block-diagonal over the first frame's groups.  Deterministic for a
-    fixed seed.  Returns the factors with the lowest residual reached, that
-    residual, and the obstruction (None when the search ran).
+    than ``_MIN_GAIN`` restarts from a random unitary that is block-diagonal
+    over the first frame's groups, drawn from one fixed generator, so the
+    search is deterministic.  Returns the factors with the lowest residual
+    reached, that residual, and the obstruction (None when the search ran).
     """
     core, target = first.core, second.core
     if core.shape != target.shape:
@@ -484,7 +480,7 @@ def gauge_search(
         best = float(np.linalg.norm(target - outer * core))
         g = [np.diag(phase) for phase in phases]
     best_g = list(g)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     last = best
     for _ in range(0 if obstruction else budget):
         if best <= tols.reconstruction:
@@ -508,20 +504,18 @@ def _certify(
     other: TripartiteState,
     factors: tuple[np.ndarray, np.ndarray, np.ndarray],
     tols: Tolerances,
-) -> TripartiteDecision | None:
-    """Verified decision from candidate local factors, or None.
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float] | None:
+    """Verified certificate (U_A, U_B, U_C) and its residual, or None.
 
     U_B and U_C stay as the search built them, products of unitaries, and
-    U_A is their :func:`_refit` on the raw amplitude tensors.  The verdict
+    U_A is their :func:`_refit` on the raw amplitude tensors.  The certificate
     stands only if its residual and every factor's unitarity defect pass.
     """
     g = list(factors)
     g[0], residual = _refit(state.amplitudes, other.amplitudes, 0, g)
     if residual > tols.reconstruction or max(map(unitarity_defect, g)) > tols.unitarity:
         return None
-    return TripartiteDecision(
-        verdict=Verdict.EQUIVALENT_D1, local_factors=tuple(g), residual=residual
-    )
+    return tuple(g), residual
 
 
 def _cut_svds(state: TripartiteState) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -536,18 +530,19 @@ def _cut_svds(state: TripartiteState) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _state_frame(state: TripartiteState, svds: list) -> StateFrame:
-    """Frame of ``state`` from its :func:`_cut_svds`: bases, spectra, groups, core."""
-    groups = []
+    """Frame of ``state`` from its :func:`_cut_svds`: bases, eigenvalues, groups, core."""
+    eigenvalues, groups = [], []
     for vecs, spectrum in svds:
         vals = np.concatenate((spectrum**2, np.zeros(vecs.shape[0] - spectrum.size)))
         joined = (vals[:-1] > _EIG_GAP) & (vals[:-1] - vals[1:] < _EIG_GAP)
         edges = [0, *(np.flatnonzero(~joined) + 1).tolist(), vals.size]
+        eigenvalues.append(vals)
         groups.append(tuple(slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])))
-    bases, spectra = zip(*svds)
+    bases, _ = zip(*svds)
     e_a, e_b, e_c = (e.conj().T for e in bases)
     k, m, n = state.dims
     core = e_b @ (e_a @ (state.amplitudes @ e_c.T).reshape(k, -1)).reshape(k, m, n)
-    return StateFrame(bases=bases, spectra=spectra, core=core, groups=tuple(groups))
+    return StateFrame(bases, tuple(eigenvalues), core, tuple(groups))
 
 
 def check_di(
@@ -556,7 +551,6 @@ def check_di(
     cut: Cut,
     tols: Tolerances = DEFAULT_TOLERANCES,
     gauge_budget: int = DEFAULT_GAUGE_BUDGET,
-    seed: int = 0,
 ) -> TripartiteDecision:
     """:func:`decide_equivalence` with an equivalent verdict labelled by ``cut``.
 
@@ -564,7 +558,7 @@ def check_di(
     verdict ``VERDICT_FOR_CUT[cut]``; any other decision passes through
     unchanged, so a pair may be refuted through a cut other than ``cut``.
     """
-    decision = decide_equivalence(state, other, tols, gauge_budget, seed)
+    decision = decide_equivalence(state, other, tols, gauge_budget)
     if decision.verdict in EQUIVALENT_VERDICTS:
         return replace(decision, verdict=VERDICT_FOR_CUT[cut])
     return decision
@@ -575,7 +569,6 @@ def decide_equivalence(
     other: TripartiteState,
     tols: Tolerances = DEFAULT_TOLERANCES,
     gauge_budget: int = DEFAULT_GAUGE_BUDGET,
-    seed: int = 0,
 ) -> TripartiteDecision:
     """Full decision: spectra on all three cuts, then one search in the frames.
 
@@ -603,11 +596,11 @@ def decide_equivalence(
             )
 
     first, second = (_state_frame(s, c) for s, c in zip((state, other), svds))
-    factors, residual, obstruction = gauge_search(first, second, gauge_budget, tols, seed)
+    factors, residual, obstruction = gauge_search(first, second, gauge_budget, tols)
     if residual <= tols.reconstruction:
-        decision = _certify(state, other, factors, tols)
-        if decision is not None:
-            return replace(decision, spectra=spectra)
+        certificate = _certify(state, other, factors, tols)
+        if certificate is not None:
+            return TripartiteDecision(Verdict.EQUIVALENT_D1, *certificate, spectra=spectra)
     return TripartiteDecision(
         Verdict.INCONCLUSIVE, residual=residual, obstruction=obstruction, spectra=spectra
     )

@@ -35,10 +35,6 @@ class StateFormatError(ValueError):
     """Malformed state or matrix document; message carries source:line."""
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _scan(text: str, source: str, index_count: int):
     """Read a document into its amplitude array.
 
@@ -216,20 +212,22 @@ def load_state(path, strict: bool = False) -> TripartiteState:
         return parse_state(handle.read(), strict=strict, source=str(path))
 
 
+def _document(array: np.ndarray, label: str | None) -> str:
+    """Header lines, then one record per nonzero entry of ``array`` in index order."""
+    index = np.nonzero(array)
+    values = array[index]
+    columns = [(i + 1).tolist() for i in index]
+    columns += [values.real.tolist(), values.imag.tolist()]
+    record = "%d " * array.ndim + " %.17g %.17g"
+    lines = [f"label: {label}"] if label else []
+    lines.append("dims: " + " ".join(map(str, array.shape)))
+    lines += [record % fields for fields in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
 def serialize_state(state: TripartiteState, label: str | None = None) -> str:
     """Render a state document; exact round trip through :func:`parse_state`."""
-    lines = []
-    if label:
-        lines.append(f"label: {label}")
-    k, m, n = state.dims
-    lines.append(f"dims: {k} {m} {n}")
-    amps = state.amplitudes
-    for (i, j, l), value in np.ndenumerate(amps):
-        if value != 0:
-            lines.append(
-                f"{i + 1} {j + 1} {l + 1}  {_fmt(value.real)} {_fmt(value.imag)}"
-            )
-    return "\n".join(lines) + "\n"
+    return _document(state.amplitudes, label)
 
 
 def parse_matrix(text: str, source: str = "<string>") -> np.ndarray:
@@ -246,15 +244,7 @@ def serialize_matrix(matrix: np.ndarray, label: str | None = None) -> str:
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2:
         raise ValueError(f"expected a matrix, got {matrix.ndim} axes")
-    lines = []
-    if label:
-        lines.append(f"label: {label}")
-    rows, cols = matrix.shape
-    lines.append(f"dims: {rows} {cols}")
-    for (r, c), value in np.ndenumerate(matrix):
-        if value != 0:
-            lines.append(f"{r + 1} {c + 1}  {_fmt(value.real)} {_fmt(value.imag)}")
-    return "\n".join(lines) + "\n"
+    return _document(matrix, label)
 
 
 def matrix_pairs(matrix: np.ndarray) -> list[list[list[float]]]:
@@ -271,7 +261,7 @@ def matrix_from_pairs(obj) -> np.ndarray:
     )
 
 
-def report_to_json(report: dict) -> str:
+def report_to_json(report: dict | list) -> str:
     """Stable rendering: sorted keys, two-space indent, trailing newline."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 

@@ -74,16 +74,8 @@ def matricize(state: TripartiteState, cut: Cut) -> np.ndarray:
         Cut.B: out[j, i*N + k] = a[i, j, k]      (M  x K*N)
         Cut.C: out[k, i*M + j] = a[i, j, k]      (N  x K*M)
     """
-    k, m, n = state.dims
-    a = state.amplitudes
-    if cut is Cut.A:
-        out = a.reshape(k, m * n)
-    elif cut is Cut.B:
-        out = a.transpose(1, 0, 2).reshape(m, k * n)
-    elif cut is Cut.C:
-        out = a.transpose(2, 0, 1).reshape(n, k * m)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown cut {cut!r}")
+    axis = tuple(Cut).index(cut)
+    out = np.moveaxis(state.amplitudes, axis, 0).reshape(state.dims[axis], -1)
     return np.ascontiguousarray(out)
 
 

@@ -152,6 +152,16 @@ class TestCheckCommand:
         assert report["certificate"] is None and report["witness"] is None
         assert report["residual"] > 1e-9
 
+    def test_state_too_large_for_memory_is_a_data_error(self, golden_files, tmp_path, capsys):
+        # 14 PiB of amplitudes: the allocation fails at once, and exit 1
+        # would claim the pair is proven inequivalent.
+        huge = tmp_path / "huge.state"
+        huge.write_text("dims: 100000 100000 100000\n1 1 1  1 0\n")
+        assert main(["check", str(huge), golden_files[0]]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_rank1_tol_is_not_a_check_option(self, golden_files):
         assert main(["check", *golden_files, "--rank1-tol", "1e-8"]) == 64
 
@@ -208,8 +218,9 @@ class TestCheckCommand:
         assert main(["check", *lu_files, "--spec-tol", spec_tol]) == 0
         assert "equivalent-d1" in capsys.readouterr().out
 
-    def test_negative_seed_is_a_usage_error(self, golden_files, capsys):
-        assert main(["check", *golden_files, "--seed", "-5"]) == 64
+    def test_seed_is_not_a_check_option(self, golden_files, capsys):
+        # The gauge search draws its restarts from one fixed generator.
+        assert main(["check", *golden_files, "--seed", "0"]) == 64
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--seed" in captured.err
@@ -329,6 +340,14 @@ class TestRandomCommand:
         assert len(files1) == 5
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_state_too_large_for_memory_is_a_data_error(self, tmp_path, capsys):
+        args = ["random", "--dims", "100000", "100000", "100000", "--out", str(tmp_path)]
+        assert main(args) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
 
     def test_negative_count_is_a_usage_error(self, tmp_path, capsys):
         args = ["random", "--dims", "2", "2", "2", "--count", "-3", "--out", str(tmp_path)]

@@ -177,7 +177,7 @@ class TestGaugeSearch:
     def test_deterministic_for_fixed_seed(self, monkeypatch):
         # A state maximally entangled across A against its conjugate: A's
         # reduction is one group, so no obstruction ends the search, and the
-        # 60 sweeps run out after seeded block restarts.
+        # 60 sweeps run out after block restarts from the fixed generator.
         state = _max_entangled_a((3, 3, 3), np.random.default_rng(0))
         frames = _frames(state, TripartiteState(state.amplitudes.conj()))
         sweeps, restarts = [], []
@@ -185,9 +185,9 @@ class TestGaugeSearch:
         monkeypatch.setattr(
             equivalence, "_block_unitary", _recorded(restarts, "_block_unitary")
         )
-        f1, r1, o1 = gauge_search(*frames, budget=60, seed=5)
-        assert (len(sweeps), len(restarts)) == (60, 9)
-        f2, r2, o2 = gauge_search(*frames, budget=60, seed=5)
+        f1, r1, o1 = gauge_search(*frames, budget=60)
+        assert (len(sweeps), len(restarts)) == (60, 12)
+        f2, r2, o2 = gauge_search(*frames, budget=60)
         assert r1 == r2 and o1 is o2 is None
         for u1, u2 in zip(f1, f2):
             np.testing.assert_array_equal(u1, u2)
@@ -600,6 +600,40 @@ def test_degenerate_lu_pairs_are_certified(kind):
             factors = (random_unitary(d, rng) for d in kind)
             rotated = apply_local_unitaries(state, *factors)
         _assert_certified(decide_equivalence(state, rotated), state, rotated)
+
+
+def _locally_maximally_mixed(dims, rng):
+    """Random state whose one-party reductions are all I/d_p, to 1e-13.
+
+    Each round maps every party in turn by rho_p^(-1/2), which makes its own
+    reduction a multiple of the identity and moves the others towards one,
+    until no reduction's eigenvalues spread by 1e-13 of the largest.
+    """
+    amps = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    while True:
+        spread = 0.0
+        for p, d in enumerate(dims):
+            x = np.moveaxis(amps, p, 0).reshape(d, -1)
+            vals, vecs = np.linalg.eigh(x @ x.conj().T)
+            spread = max(spread, 1.0 - vals[0] / vals[-1])
+            root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+            amps = np.moveaxis(np.tensordot(root, amps, axes=(1, p)), 0, p)
+        if spread < 1e-13:
+            return TripartiteState.from_unnormalized(amps)
+
+
+def test_locally_maximally_mixed_lu_pairs_are_certified():
+    # Every reduction is I/3, so each party's frame is one group and the
+    # search starts from the identity.  The sweeps stall on most of these
+    # pairs; the block restarts carry them to a certificate.
+    for trial in range(8):
+        rng = np.random.default_rng([29, trial])
+        state = _locally_maximally_mixed((3, 3, 3), rng)
+        assert [len(groups) for groups in _frames(state)[0].groups] == [1, 1, 1]
+        rotated = apply_local_unitaries(state, *(random_unitary(3, rng) for _ in range(3)))
+        decision = decide_equivalence(state, rotated)
+        assert decision.verdict is Verdict.EQUIVALENT_D1
+        _assert_certified(decision, state, rotated)
 
 
 def _schmidt_state(dims, rank, gap, rng):

@@ -16,7 +16,7 @@ from triequiv.fileio import (
     serialize_state,
 )
 from triequiv.states import TripartiteState, random_state, random_unitary
-from util import RT2, golden_pair_222
+from util import RT2, golden_pair_222, oracle_document
 
 
 class TestStateRoundTrip:
@@ -229,7 +229,7 @@ class TestErrorMessages:
         assert str(err.value) == message
 
 
-AWKWARD = [0.0, 0.1, 1 / 3, -np.pi, 1e-300, 2**-52, 1 + 2**-52, -5e-324, 1e300]
+AWKWARD = [0.0, -0.0, 0.1, 1 / 3, -np.pi, 1e-300, 2**-52, 1 + 2**-52, -5e-324, 1e300]
 
 
 def _decorate(text: str, data) -> str:
@@ -267,12 +267,14 @@ class TestRoundTripProperty:
         else:
             amps /= np.linalg.norm(amps)
         # Values far below the norm tolerance keep the state normalized.
-        tiny = st.sampled_from([1e-300, 2**-60, -5e-324, 0.0])
+        tiny = st.sampled_from([1e-300, 2**-60, -5e-324, 0.0, -0.0])
         for pos in zip(*np.nonzero(amps == 0)):
             if data.draw(st.booleans()):
                 amps[pos] = complex(data.draw(tiny), data.draw(tiny))
         state = TripartiteState(amps)
-        text = _decorate(serialize_state(state, label="p"), data)
+        document = serialize_state(state, label="p")
+        assert document == oracle_document(state.amplitudes, label="p")
+        text = _decorate(document, data)
         parsed = parse_state(text, strict=True)
         assert np.array_equal(parsed.amplitudes, state.amplitudes)
 
@@ -282,7 +284,9 @@ class TestRoundTripProperty:
         finite = st.floats(allow_nan=False, allow_infinity=False)
         values = st.sampled_from(AWKWARD) | finite
         mat = _sparse(data, dims, values)
-        text = _decorate(serialize_matrix(mat, label="m"), data)
+        document = serialize_matrix(mat, label="m")
+        assert document == oracle_document(mat, label="m")
+        text = _decorate(document, data)
         assert np.array_equal(parse_matrix(text), mat)
 
 

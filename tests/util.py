@@ -74,6 +74,18 @@ def kron_apply(u1, u2, u3, state):
     return full @ state.amplitudes.reshape(-1)
 
 
+def oracle_document(array, label=None):
+    """Loop-based reference for the state and matrix writers: the same bytes."""
+    lines = [f"label: {label}"] if label else []
+    lines.append("dims: " + " ".join(str(d) for d in array.shape))
+    for index, value in np.ndenumerate(array):
+        if value != 0:
+            ids = " ".join(str(i + 1) for i in index)
+            re, im = format(float(value.real), ".17g"), format(float(value.imag), ".17g")
+            lines.append(f"{ids}  {re} {im}")
+    return "\n".join(lines) + "\n"
+
+
 def oracle_nested(amps, outer, inner, alpha, beta):
     """Brute-force nested trace invariant: explicit loops only."""
     dims = amps.shape
