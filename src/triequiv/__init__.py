@@ -15,7 +15,6 @@ from .equivalence import (
     TripartiteDecision,
     Verdict,
     bipartite_equivalent,
-    check_di,
     decide_equivalence,
     gauge_search,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "Verdict",
     "apply_local_unitaries",
     "bipartite_equivalent",
-    "check_di",
     "decide_equivalence",
     "gauge_search",
     "invariants_equal",

@@ -11,7 +11,6 @@ import numpy as np
 
 from .equivalence import (
     DEFAULT_GAUGE_BUDGET,
-    EQUIVALENT_VERDICTS,
     TripartiteDecision,
     Verdict,
     decide_equivalence,
@@ -42,7 +41,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 _EXIT_FOR_VERDICT = {
-    **dict.fromkeys(EQUIVALENT_VERDICTS, EXIT_EQUIVALENT),
+    Verdict.EQUIVALENT_D1: EXIT_EQUIVALENT,
     Verdict.INVARIANTS_DIFFER: EXIT_INVARIANTS_DIFFER,
     Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
@@ -175,7 +174,7 @@ def _decision_report(
 
 def _decision_text(decision: TripartiteDecision, inputs: tuple[str, str]) -> str:
     lines = [f"{inputs[0]} vs {inputs[1]}: {decision.verdict.value}"]
-    if decision.verdict in EQUIVALENT_VERDICTS:
+    if decision.verdict is Verdict.EQUIVALENT_D1:
         lines.append(f"  residual: {decision.residual:.3e}")
     elif decision.verdict is Verdict.INVARIANTS_DIFFER:
         w = decision.witness
@@ -226,17 +225,7 @@ def _cmd_check(args) -> int:
 def _cmd_factorize(args) -> int:
     matrix = load_matrix(args.matrix)
     m, n = args.m, args.n
-    if matrix.shape != (m * n, m * n):
-        print(
-            f"error: matrix has shape {matrix.shape}, expected ({m * n}, {m * n})",
-            file=sys.stderr,
-        )
-        return EXIT_DATA
-    try:
-        f = is_unitarily_decomposable(matrix, m, n, rank1_tol=args.rank1_tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    f = is_unitarily_decomposable(matrix, m, n, rank1_tol=args.rank1_tol)
     u1, u2 = f.unitary_factors()
     residual = float(np.linalg.norm(matrix - f.product()))
     if args.json:
@@ -276,26 +265,21 @@ def _cmd_random(args) -> int:
         state_seed, u1_seed, u2_seed, u3_seed = seq.spawn(4)
         state = random_state((k, m, n), state_seed)
         base = f"{out_dir}/random-{k}x{m}x{n}-seed{args.seed}-{idx:03d}"
-        path = f"{base}.state"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(serialize_state(state, label=f"random seed={args.seed} idx={idx}"))
-        written.append(path)
+        label = f"random seed={args.seed} idx={idx}"
+        files = [(f"{base}.state", serialize_state(state, label=label))]
         if args.lu_pair:
             u1 = random_unitary(k, u1_seed)
             u2 = random_unitary(m, u2_seed)
             u3 = random_unitary(n, u3_seed)
             partner = apply_local_unitaries(state, u1, u2, u3)
-            partner_path = f"{base}-lu.state"
-            with open(partner_path, "w", encoding="utf-8") as handle:
-                handle.write(
-                    serialize_state(partner, label=f"lu partner seed={args.seed} idx={idx}")
-                )
-            written.append(partner_path)
+            label = f"lu partner seed={args.seed} idx={idx}"
+            files.append((f"{base}-lu.state", serialize_state(partner, label=label)))
             for name, mat in (("u1", u1), ("u2", u2), ("u3", u3)):
-                mat_path = f"{base}-{name}.mat"
-                with open(mat_path, "w", encoding="utf-8") as handle:
-                    handle.write(serialize_matrix(mat, label=name))
-                written.append(mat_path)
+                files.append((f"{base}-{name}.mat", serialize_matrix(mat, label=name)))
+        for path, text in files:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            written.append(path)
     for path in written:
         print(path)
     return 0

@@ -18,7 +18,7 @@ tensors; every Procrustes step is :func:`_refit`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -32,6 +32,7 @@ from .states import (
     TripartiteState,
     matricize,
     random_unitary,
+    unfold,
     unitarity_defect,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -50,19 +51,8 @@ DEFAULT_GAUGE_BUDGET = 1000
 
 class Verdict(Enum):
     EQUIVALENT_D1 = "equivalent-d1"
-    EQUIVALENT_D2 = "equivalent-d2"
-    EQUIVALENT_D3 = "equivalent-d3"
     INVARIANTS_DIFFER = "invariants-differ"
     INCONCLUSIVE = "inconclusive"
-
-
-VERDICT_FOR_CUT = {
-    Cut.A: Verdict.EQUIVALENT_D1,
-    Cut.B: Verdict.EQUIVALENT_D2,
-    Cut.C: Verdict.EQUIVALENT_D3,
-}
-
-EQUIVALENT_VERDICTS = frozenset(VERDICT_FOR_CUT.values())
 
 
 @dataclass(frozen=True)
@@ -172,8 +162,7 @@ def _refit(source, target, p: int, g: list) -> tuple[np.ndarray, float]:
         source = (g[0] @ source.reshape(a, -1)).reshape(a, b, c)
     if p != 1:
         source = g[1] @ source
-    x = np.moveaxis(source, p, 0).reshape(source.shape[p], -1)
-    t = np.moveaxis(target, p, 0).reshape(x.shape)
+    x, t = unfold(source, p), unfold(target, p)
     w, _, zh = np.linalg.svd(t @ x.conj().T)
     g_p = w @ zh
     return g_p, float(np.linalg.norm(t - g_p @ x))
@@ -376,10 +365,8 @@ def _one_block_start(
     :func:`_refit` of party p.  Returns the three G and the residual
     ||T - G_p X D||.
     """
-    x = np.moveaxis(core, p, 0)
-    pair = x.shape[1:]
-    x = x.reshape(x.shape[0], -1)
-    t = np.moveaxis(target, p, 0).reshape(x.shape)
+    x, t = unfold(core, p), unfold(target, p)
+    pair = core.shape[:p] + core.shape[p + 1 :]
     strength = np.linalg.norm(x, axis=0).reshape(pair)
     rows = np.zeros(pair, dtype=bool)
     rows[np.arange(pair[0]), strength.argmax(axis=1)] = True
@@ -545,25 +532,6 @@ def _state_frame(state: TripartiteState, svds: list) -> StateFrame:
     return StateFrame(bases, tuple(eigenvalues), core, tuple(groups))
 
 
-def check_di(
-    state: TripartiteState,
-    other: TripartiteState,
-    cut: Cut,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-    gauge_budget: int = DEFAULT_GAUGE_BUDGET,
-) -> TripartiteDecision:
-    """:func:`decide_equivalence` with an equivalent verdict labelled by ``cut``.
-
-    An equivalent decision keeps its certificate and residual and takes the
-    verdict ``VERDICT_FOR_CUT[cut]``; any other decision passes through
-    unchanged, so a pair may be refuted through a cut other than ``cut``.
-    """
-    decision = decide_equivalence(state, other, tols, gauge_budget)
-    if decision.verdict in EQUIVALENT_VERDICTS:
-        return replace(decision, verdict=VERDICT_FOR_CUT[cut])
-    return decision
-
-
 def decide_equivalence(
     state: TripartiteState,
     other: TripartiteState,
@@ -580,10 +548,13 @@ def decide_equivalence(
     tensors by :func:`_certify` and returned as ``EQUIVALENT_D1`` with the
     certificate (U_A, U_B, U_C).  Anything else is ``INCONCLUSIVE`` with the
     lowest residual reached, and with the phase obstruction when one ended
-    the search before any sweep - never a claim of inequivalence.
+    the search before any sweep - never a claim of inequivalence.  States of
+    different dimensions, or a negative ``gauge_budget``, raise ValueError.
     """
     if state.dims != other.dims:
         raise ValueError(f"dimension mismatch: {state.dims} vs {other.dims}")
+    if gauge_budget < 0:
+        raise ValueError(f"gauge_budget must be >= 0, got {gauge_budget}")
 
     svds = _cut_svds(state), _cut_svds(other)
     spectra = tuple(tuple(tuple(s.tolist()) for _, s in side) for side in svds)
@@ -604,3 +575,7 @@ def decide_equivalence(
     return TripartiteDecision(
         Verdict.INCONCLUSIVE, residual=residual, obstruction=obstruction, spectra=spectra
     )
+
+
+# Not called here: perfbench/tracing.py wraps this name on this module.
+check_di = decide_equivalence

@@ -250,9 +250,7 @@ def serialize_matrix(matrix: np.ndarray, label: str | None = None) -> str:
 def matrix_pairs(matrix: np.ndarray) -> list[list[list[float]]]:
     """Complex matrix as nested [re, im] pairs (JSON-safe)."""
     matrix = np.asarray(matrix, dtype=np.complex128)
-    return [
-        [[float(v.real), float(v.imag)] for v in row] for row in matrix
-    ]
+    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
 
 
 def matrix_from_pairs(obj) -> np.ndarray:

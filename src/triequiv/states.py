@@ -74,9 +74,12 @@ def matricize(state: TripartiteState, cut: Cut) -> np.ndarray:
         Cut.B: out[j, i*N + k] = a[i, j, k]      (M  x K*N)
         Cut.C: out[k, i*M + j] = a[i, j, k]      (N  x K*M)
     """
-    axis = tuple(Cut).index(cut)
-    out = np.moveaxis(state.amplitudes, axis, 0).reshape(state.dims[axis], -1)
-    return np.ascontiguousarray(out)
+    return np.ascontiguousarray(unfold(state.amplitudes, tuple(Cut).index(cut)))
+
+
+def unfold(tensor: np.ndarray, axis: int) -> np.ndarray:
+    """The tensor as a matrix: rows index ``axis``, columns the other axes in order."""
+    return np.moveaxis(tensor, axis, 0).reshape(tensor.shape[axis], -1)
 
 
 def reduced_density(state: TripartiteState, cut: Cut) -> np.ndarray:

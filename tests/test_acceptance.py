@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from triequiv.cli import main
-from triequiv.equivalence import EQUIVALENT_VERDICTS, Verdict, decide_equivalence
+from triequiv.equivalence import Verdict, decide_equivalence
 from triequiv.fileio import matrix_from_pairs, serialize_state
 from triequiv.invariants import (
     invariants_equal,
@@ -202,7 +202,7 @@ def test_decision_completeness_suite():
                 )
                 decision = decide_equivalence(state, rotated)
                 assert decision.verdict is not Verdict.INVARIANTS_DIFFER
-                if decision.verdict in EQUIVALENT_VERDICTS:
+                if decision.verdict is Verdict.EQUIVALENT_D1:
                     # Independent verification: full Kronecker product applied
                     # to the flat amplitude vector.
                     mapped = kron_apply(*decision.local_factors, state)

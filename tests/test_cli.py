@@ -1,11 +1,14 @@
 import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from triequiv.cli import _decision_report, main
-from triequiv.equivalence import decide_equivalence
+from triequiv.cli import _EXIT_FOR_VERDICT, _decision_report, main
+from triequiv.equivalence import Verdict, decide_equivalence
 from triequiv.fileio import matrix_from_pairs, serialize_matrix, serialize_state
 from triequiv.states import (
     TripartiteState,
@@ -455,6 +458,19 @@ class TestFactorisationCounts:
 class TestUsage:
     def test_no_arguments(self):
         assert main([]) == 64
+
+    def test_every_verdict_has_an_exit_code(self):
+        assert set(_EXIT_FOR_VERDICT) == set(Verdict)
+
+    def test_tracer_targets_resolve(self):
+        # The benchmark's tracer wraps these names by lookup once the CLI is
+        # imported; a name that is gone breaks every traced run.
+        path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module, attr, _ in tracing.TARGETS:
+            assert hasattr(sys.modules[module], attr), f"{module}.{attr}"
 
     def test_unknown_flag(self, golden_files):
         assert main(["check", *golden_files, "--bogus"]) == 64

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 from triequiv import equivalence
 from triequiv.equivalence import (
-    EQUIVALENT_VERDICTS,
-    VERDICT_FOR_CUT,
     CertificateError,
     SpectrumWitness,
     Verdict,
     bipartite_equivalent,
-    check_di,
     decide_equivalence,
     gauge_search,
 )
@@ -198,10 +195,15 @@ class TestGaugeSearch:
             gauge_search(*frames)
 
 
-class TestCheckDi:
-    def test_golden_222_first_cut(self):
+class TestDecideEquivalence:
+    def test_golden_pairs(self):
+        for pair in (golden_pair_222(), golden_pair_223()):
+            decision = decide_equivalence(*pair)
+            assert decision.verdict is Verdict.EQUIVALENT_D1
+
+    def test_golden_222_certificate(self):
         first, second = golden_pair_222()
-        decision = check_di(first, second, Cut.A)
+        decision = decide_equivalence(first, second)
         assert decision.verdict is Verdict.EQUIVALENT_D1
         assert decision.residual <= 1e-10
         mapped = kron_apply(*decision.local_factors, first)
@@ -209,71 +211,13 @@ class TestCheckDi:
         for factor in decision.local_factors:
             assert unitarity_defect(factor) <= 1e-10
 
-    def test_golden_223_first_cut(self):
-        first, second = golden_pair_223()
-        decision = check_di(first, second, Cut.A)
-        assert decision.verdict is Verdict.EQUIVALENT_D1
-        assert decision.residual <= 1e-9
-
     def test_state_vs_itself(self):
         state = random_state((2, 3, 4), seed=5)
-        decision = check_di(state, state, Cut.A)
+        decision = decide_equivalence(state, state)
         assert decision.verdict is Verdict.EQUIVALENT_D1
         assert decision.residual <= 1e-12
         for factor, dim in zip(decision.local_factors, state.dims):
             np.testing.assert_allclose(factor, np.eye(dim), atol=1e-8)
-
-    def test_spectra_mismatch_verdict(self):
-        product = basis_state((2, 2, 2), (0, 0, 0))
-        decision = check_di(product, ghz_state(), Cut.A)
-        assert decision.verdict is Verdict.INVARIANTS_DIFFER
-        assert decision.witness.cut is Cut.A
-
-    def test_equal_cut_spectrum_but_inequivalent_is_refuted_on_another_cut(self):
-        # Shares the first cut's spectrum with the GHZ state but differs on
-        # the second cut, which check_di compares too.
-        first, _ = golden_pair_222()
-        decision = check_di(first, ghz_state(), Cut.A, gauge_budget=300)
-        assert decision.verdict is Verdict.INVARIANTS_DIFFER
-        assert decision.witness.cut is Cut.B
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            check_di(random_state((2, 2, 2), 1), random_state((2, 2, 3), 1), Cut.A)
-
-    @pytest.mark.parametrize("cut", list(Cut))
-    @pytest.mark.parametrize("pair", ["golden-222", "golden-223", "generic-345"])
-    def test_cut_only_labels_the_verdict(self, cut, pair):
-        first, second = {
-            "golden-222": golden_pair_222,
-            "golden-223": golden_pair_223,
-            "generic-345": lambda: _lu_pair((3, 4, 5), 0)[:2],
-        }[pair]()
-        labelled = check_di(first, second, cut)
-        decision = decide_equivalence(first, second)
-        assert decision.verdict is Verdict.EQUIVALENT_D1
-        assert labelled.verdict is VERDICT_FOR_CUT[cut]
-        assert labelled.residual == decision.residual
-        for u, v in zip(labelled.local_factors, decision.local_factors):
-            np.testing.assert_array_equal(u, v)
-
-    @pytest.mark.parametrize("cut", list(Cut))
-    def test_other_verdicts_pass_through(self, cut):
-        ghz, rotated = _rotated_ghz()
-        for first, second, budget, verdict in (
-            (basis_state((2, 2, 2), (0, 0, 0)), ghz, 1000, Verdict.INVARIANTS_DIFFER),
-            (ghz, rotated, 0, Verdict.INCONCLUSIVE),
-        ):
-            decision = decide_equivalence(first, second, gauge_budget=budget)
-            assert decision.verdict is verdict
-            assert check_di(first, second, cut, gauge_budget=budget) == decision
-
-
-class TestDecideEquivalence:
-    def test_golden_pairs(self):
-        for pair in (golden_pair_222(), golden_pair_223()):
-            decision = decide_equivalence(*pair)
-            assert decision.verdict is Verdict.EQUIVALENT_D1
 
     def test_product_vs_ghz(self):
         decision = decide_equivalence(basis_state((2, 2, 2), (0, 0, 0)), ghz_state())
@@ -293,11 +237,7 @@ class TestDecideEquivalence:
         for trial in range(10):
             state, rotated, _ = _lu_pair(dims, trial)
             decision = decide_equivalence(state, rotated)
-            assert decision.verdict in (
-                Verdict.EQUIVALENT_D1,
-                Verdict.EQUIVALENT_D2,
-                Verdict.EQUIVALENT_D3,
-            )
+            assert decision.verdict is Verdict.EQUIVALENT_D1
             mapped = kron_apply(*decision.local_factors, state)
             assert np.linalg.norm(mapped - rotated.amplitudes.reshape(-1)) <= 1e-9
 
@@ -306,23 +246,16 @@ class TestDecideEquivalence:
             state, rotated, _ = _lu_pair((2, 2, 3), trial)
             forward = decide_equivalence(state, rotated)
             backward = decide_equivalence(rotated, state)
-            equivalent = (
-                Verdict.EQUIVALENT_D1,
-                Verdict.EQUIVALENT_D2,
-                Verdict.EQUIVALENT_D3,
+            assert (forward.verdict is Verdict.EQUIVALENT_D1) == (
+                backward.verdict is Verdict.EQUIVALENT_D1
             )
-            assert (forward.verdict in equivalent) == (backward.verdict in equivalent)
 
     def test_spectra_checked_on_every_cut_whatever_the_order(self):
-        # Cut A's spectra agree; only cut B's prove the pair inequivalent,
-        # whichever cut the verdict is to be labelled by.
+        # Cut A's spectra agree; only cut B's prove the pair inequivalent.
         first, _ = golden_pair_222()
-        for decision in (
-            decide_equivalence(first, ghz_state()),
-            *(check_di(first, ghz_state(), cut) for cut in Cut),
-        ):
-            assert decision.verdict is Verdict.INVARIANTS_DIFFER
-            assert decision.witness.cut is Cut.B
+        decision = decide_equivalence(first, ghz_state())
+        assert decision.verdict is Verdict.INVARIANTS_DIFFER
+        assert decision.witness.cut is Cut.B
 
     @pytest.mark.parametrize("dims", [(3, 4, 5), (5, 2, 2), (1, 3, 4)])
     def test_generic_pairs_decided_from_frames_alone(self, dims, monkeypatch):
@@ -364,20 +297,34 @@ class TestDecideEquivalence:
             random_unitary(2, seed=13),
         )
         decision = decide_equivalence(ghz, rotated)
-        assert decision.verdict in (
-            Verdict.EQUIVALENT_D1,
-            Verdict.EQUIVALENT_D2,
-            Verdict.EQUIVALENT_D3,
-        )
+        assert decision.verdict is Verdict.EQUIVALENT_D1
         assert decision.residual <= 1e-9
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="mismatch"):
             decide_equivalence(random_state((2, 2, 2), 1), random_state((2, 2, 3), 1))
 
+    @pytest.mark.parametrize(
+        "pair, verdict",
+        [
+            ("lu-ghz", Verdict.INCONCLUSIVE),
+            ("product-vs-ghz", Verdict.INVARIANTS_DIFFER),
+        ],
+    )
+    def test_negative_gauge_budget_raises(self, pair, verdict):
+        # Raised before the spectra are compared, so a pair they refute is
+        # rejected too; a budget of 0 still runs the decision without a sweep.
+        first, second = {
+            "lu-ghz": _rotated_ghz,
+            "product-vs-ghz": lambda: (basis_state((2, 2, 2), (0, 0, 0)), ghz_state()),
+        }[pair]()
+        with pytest.raises(ValueError, match="gauge_budget"):
+            decide_equivalence(first, second, gauge_budget=-1)
+        assert decide_equivalence(first, second, gauge_budget=0).verdict is verdict
+
 
 def _verdict_class(decision):
-    if decision.verdict in EQUIVALENT_VERDICTS:
+    if decision.verdict is Verdict.EQUIVALENT_D1:
         return "equivalent"
     return decision.verdict.value
 
@@ -415,7 +362,7 @@ def test_lu_rotated_pairs_are_never_refuted(dims, trial, rank_deficient, log_spe
         (backward, rotated, state),
     ):
         assert decision.verdict is not Verdict.INVARIANTS_DIFFER
-        if decision.verdict in EQUIVALENT_VERDICTS:
+        if decision.verdict is Verdict.EQUIVALENT_D1:
             for u in decision.local_factors:
                 assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-10
             mapped = np.einsum(
@@ -496,7 +443,7 @@ def test_procrustes_is_reached_only_through_refit(monkeypatch):
 
 
 def _assert_certified(decision, first, second):
-    assert decision.verdict in EQUIVALENT_VERDICTS
+    assert decision.verdict is Verdict.EQUIVALENT_D1
     for u in decision.local_factors:
         assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-10
     mapped = np.einsum("ia,jb,kc,abc->ijk", *decision.local_factors, first.amplitudes)

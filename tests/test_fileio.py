@@ -16,7 +16,7 @@ from triequiv.fileio import (
     serialize_state,
 )
 from triequiv.states import TripartiteState, random_state, random_unitary
-from util import RT2, golden_pair_222, oracle_document
+from util import RT2, golden_pair_222, oracle_document, oracle_matrix_pairs
 
 
 class TestStateRoundTrip:
@@ -335,3 +335,14 @@ class TestReports:
     def test_matrix_pairs_round_trip(self):
         mat = random_unitary(3, seed=9)
         assert np.array_equal(matrix_from_pairs(matrix_pairs(mat)), mat)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 100), (100, 1), (4, 25), (10, 10)])
+    def test_matrix_pairs_match_the_loop_oracle(self, shape):
+        # Every (re, im) pair of AWKWARD values, as far as the shape holds
+        # them, starting with (-0.0, -0.0).
+        values = np.roll(AWKWARD, -1)
+        mat = np.empty(shape, dtype=complex)
+        mat.real = np.repeat(values, 10)[: mat.size].reshape(shape)
+        mat.imag = np.tile(values, 10)[: mat.size].reshape(shape)
+        expected = report_to_json(oracle_matrix_pairs(mat))
+        assert report_to_json(matrix_pairs(mat)) == expected

@@ -86,6 +86,12 @@ def oracle_document(array, label=None):
     return "\n".join(lines) + "\n"
 
 
+def oracle_matrix_pairs(matrix):
+    """Loop-based reference for ``matrix_pairs``: one [re, im] pair per entry."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    return [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
+
+
 def oracle_nested(amps, outer, inner, alpha, beta):
     """Brute-force nested trace invariant: explicit loops only."""
     dims = amps.shape
