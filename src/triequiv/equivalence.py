@@ -1,11 +1,13 @@
 """The three-party equivalence decision, with certificates and witnesses.
 
-One SVD per cut gives the cut's singular spectrum, and a cut whose spectra
-differ refutes the pair.  Otherwise each state is put into its frame, the
-higher-order SVD: the same SVDs give the eigenbasis of each one-party
-reduction, grouped by eigenvalue, and the core tensor is the state in those
-bases.  A local unitary map between two states is block-diagonal between their
-frames, one block per eigenvalue group, and carries one core onto the other.
+One factorisation per cut gives the cut's singular spectrum and left
+singular vectors, never its right ones: an SVD, or for a wide cut the SVD of
+the small factor of a QR.  A cut whose spectra differ refutes the pair.
+Otherwise each state is put into its frame, the higher-order SVD: the same
+factorisations give the eigenbasis of each one-party reduction, grouped by
+eigenvalue, and the core tensor is the state in those bases.  A local unitary
+map between two states is block-diagonal between their frames, one block per
+eigenvalue group, and carries one core onto the other.
 ``gauge_search`` looks for those blocks: in closed form when at most one party
 has a group of several vectors, otherwise (or under noise) by alternating
 per-party Procrustes steps on the two cores.  When every group is a single
@@ -173,9 +175,20 @@ def _spectrum_witness(
 ) -> SpectrumWitness | None:
     """Witness at the largest deviation of two spectra, if that exceeds ``tol``.
 
-    The deviation must also exceed the rounding of the SVDs of two ``shape``
-    matrices, (rows + cols) eps sigma_1 each, so that no tolerance however
-    small refutes a pair on rounding alone.
+    The deviation must also exceed the rounding of the factorisations of two
+    ``shape`` matrices, (rows + cols) eps sigma_1 each, so that no tolerance
+    however small refutes a pair on rounding alone.  Both routes of
+    :func:`_cut_svds` are backward stable.  The SVD returns the exact spectrum
+    of a + E.  The QR route returns the exact SVD U S W^dagger of R^t + E_2,
+    where a^t + E_1 = Q R is the Householder QR (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm. 19.4) and E_2 the backward error
+    of the small SVD; as Q^t has orthonormal rows, U S (W^dagger Q^t) is an
+    SVD of a + E for E = E_1^t + E_2 Q^t.  By Weyl's inequality each singular
+    value then moves by at most ||E||_2 <= ||E_1||_2 + ||E_2||_2, and the
+    worst-case bounds on that over eps sigma_1 are low-degree polynomials in
+    rows and cols; (rows + cols) is the allowance taken.  Over LU pairs from
+    8^3 to 2 x 48 x 48, rank-deficient ones included, the deviations seen
+    stayed below 0.16 of it.
     """
     worst = int(np.argmax(np.abs(sa - sb)))
     rounding = sum(shape) * np.finfo(float).eps * (sa[0] + sb[0])
@@ -288,10 +301,15 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     r, m, n = chi.shape
     significant = weight > _PHASE_CUTOFF * float(weight.max())
     s, p, q = np.nonzero(significant)
-    strongest = np.argsort(-weight[s, p, q], kind="stable")
+    strength = weight[s, p, q]
+    strongest = np.argsort(-strength)
+    if np.any(np.diff(strength[strongest]) == 0):
+        # Tied entries keep index order, so the same entry fixes each factor.
+        strongest = np.argsort(-strength, kind="stable")
+    s, p, q, strength = s[strongest], p[strongest], q[strongest], strength[strongest]
     # One node per factor: beta_s is node s, phi_p node r + p, psi_q node r + m + q.
-    nodes = np.stack((s, r + p, r + m + q))[:, strongest]
-    target = chi[s, p, q][strongest]
+    nodes = np.stack((s, r + p, r + m + q))
+    target = chi[s, p, q]
     value = np.ones(r + m + n, dtype=np.complex128)
     known = np.zeros(r + m + n, dtype=bool)
     known[nodes[:2, :1]] = True  # the gauge choice; nothing when no entry counts
@@ -303,8 +321,11 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
         single = np.flatnonzero(missing == 1)
         if single.size:
             rows = np.argmax(unknown[:, single], axis=0)
-            free, first = np.unique(nodes[rows, single], return_index=True)
-            entries = single[first]
+            # The first (strongest) entry that leaves each factor open fixes it.
+            first = np.full(known.size, single.size)
+            np.minimum.at(first, nodes[rows, single], np.arange(single.size))
+            free = np.flatnonzero(first < single.size)
+            entries = single[first[free]]
             others = np.where(unknown[:, entries], 1.0, value[nodes[:, entries]])
             value[free] = target[entries] / others.prod(axis=0)
             known[free] = True
@@ -331,7 +352,6 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     phases = value[:r], value[r : r + m], value[r + m :]
     if not np.any(miss > _PHASE_TOL):
         return phases, None
-    strength = weight[s, p, q][strongest]
     used[np.argmax(np.where(miss > _PHASE_TOL, miss * strength, 0.0))] = True
     rows = np.flatnonzero(used)
     coef = np.zeros((rows.size, value.size))
@@ -506,12 +526,24 @@ def _certify(
 
 
 def _cut_svds(state: TripartiteState) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Left singular vectors and singular values of cuts A, B and C, one SVD each."""
+    """Left singular vectors and singular values of cuts A, B and C.
+
+    A wide cut a, d x c with c >= 2 d and d c >= 512, is factored through the
+    R of a^t = Q R (Chan's R-SVD): a = R^t Q^t and Q^t has orthonormal rows,
+    so the SVD of the d x d factor R^t gives the left vectors and spectrum of
+    a, and the c x d right factor is never formed.  Smaller or squarer cuts
+    take one SVD, where LAPACK's extra call costs more than it saves (the
+    crossover measured with one BLAS thread: QR lost at 8 x 32, 12 x 24 and
+    32 x 32, tied at 16 x 32, won at 2 x 256, 4 x 128, 8 x 64 and 12 x 144).
+    Only a cut with more rows than columns needs the full left factor.
+    """
     svds = []
     for cut in Cut:
         a = matricize(state, cut)
-        # Only a cut with more rows than columns needs the full left factor.
-        vecs, spectrum, _ = np.linalg.svd(a, full_matrices=a.shape[0] > a.shape[1])
+        rows, cols = a.shape
+        if cols >= 2 * rows and rows * cols >= 512:
+            a = np.linalg.qr(a.T, mode="r").T
+        vecs, spectrum, _ = np.linalg.svd(a, full_matrices=rows > cols)
         svds.append((vecs, spectrum))
     return svds
 
@@ -540,10 +572,10 @@ def decide_equivalence(
 ) -> TripartiteDecision:
     """Full decision: spectra on all three cuts, then one search in the frames.
 
-    One SVD per cut gives the spectra of cuts A, B and C, compared first; a
-    cut whose spectra differ proves inequivalence outright.  Otherwise the
-    same SVDs give both frames and :func:`gauge_search` spends at most
-    ``gauge_budget`` sweeps looking for local unitaries between them.  A
+    :func:`_cut_svds` gives the spectra of cuts A, B and C, compared first;
+    a cut whose spectra differ proves inequivalence outright.  Otherwise the
+    same factorisations give both frames and :func:`gauge_search` spends at
+    most ``gauge_budget`` sweeps looking for local unitaries between them.  A
     candidate whose frame residual passes is re-verified against the raw
     tensors by :func:`_certify` and returned as ``EQUIVALENT_D1`` with the
     certificate (U_A, U_B, U_C).  Anything else is ``INCONCLUSIVE`` with the

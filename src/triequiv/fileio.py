@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .states import TripartiteState
+from .states import TripartiteState, scaled_to_unit_max
 from .tolerances import NORM_TOL
 
 DECISION_SCHEMA = "triequiv.decision/2"
@@ -184,27 +184,33 @@ def parse_state(
 
     In strict mode the amplitudes must already be normalized within the
     package norm tolerance; otherwise off-norm states are renormalized with a
-    ``RuntimeWarning``.  A state with no (or all-zero) amplitude records is
+    ``RuntimeWarning``, through :func:`scaled_to_unit_max` when sum |a|^2
+    under- or overflows.  A state with no (or all-zero) amplitude records is
     rejected as a zero state.
     """
     amps = _scan(text, source, index_count=3)
-    sq_norm = float(np.sum(np.abs(amps) ** 2))
-    if sq_norm == 0.0:
-        raise StateFormatError(f"{source}: amplitudes describe the zero state")
-    deviation = abs(sq_norm - 1.0)
-    if deviation > NORM_TOL:
-        if strict:
-            raise StateFormatError(
-                f"{source}: state is not normalized (sum |a|^2 = {sq_norm!r}) "
-                "and strict mode is on"
-            )
-        warnings.warn(
-            f"{source}: renormalizing state with sum |a|^2 = {sq_norm!r}",
-            RuntimeWarning,
-            stacklevel=2,
+    with np.errstate(over="ignore"):
+        sq_norm = float(np.sum(np.abs(amps) ** 2))
+    if abs(sq_norm - 1.0) <= NORM_TOL:
+        return TripartiteState(amps)
+    shown = repr(sq_norm)
+    if not 0.0 < sq_norm < np.inf:
+        amps, scale = scaled_to_unit_max(amps)
+        if scale == 0.0:
+            raise StateFormatError(f"{source}: amplitudes describe the zero state")
+        sq_norm = float(np.sum(np.abs(amps) ** 2))
+        shown = f"{sq_norm!r} * {scale!r}^2"
+    if strict:
+        raise StateFormatError(
+            f"{source}: state is not normalized (sum |a|^2 = {shown}) "
+            "and strict mode is on"
         )
-        amps = amps / np.sqrt(sq_norm)
-    return TripartiteState(amps)
+    warnings.warn(
+        f"{source}: renormalizing state with sum |a|^2 = {shown}",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return TripartiteState(amps / np.sqrt(sq_norm))
 
 
 def load_state(path, strict: bool = False) -> TripartiteState:

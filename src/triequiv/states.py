@@ -55,12 +55,34 @@ class TripartiteState:
 
     @classmethod
     def from_unnormalized(cls, amplitudes) -> "TripartiteState":
-        """Build a state from an arbitrary nonzero tensor, normalizing it."""
+        """Build a state from an arbitrary nonzero tensor, normalizing it.
+
+        A tensor whose sum |a|^2 under- or overflows is normalized through
+        :func:`scaled_to_unit_max`.
+        """
         amps = np.asarray(amplitudes, dtype=np.complex128)
-        nrm = float(np.linalg.norm(amps))
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero state")
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(amps))
+        if not 0.0 < nrm < np.inf:
+            amps, scale = scaled_to_unit_max(amps)
+            if scale == 0.0:
+                raise ValueError("cannot normalize the zero state")
+            nrm = float(np.linalg.norm(amps))
         return cls(amps / nrm)
+
+
+def scaled_to_unit_max(amps: np.ndarray) -> tuple[np.ndarray, float]:
+    """``amps`` divided by its largest real or imaginary part, and that part.
+
+    Sum |a|^2 of the result lies in [1, 2 amps.size] and so neither under- nor
+    overflows.  The parts are divided apart because a complex division by a
+    subnormal number overflows.  A zero (or empty) ``amps`` comes back with
+    scale 0.
+    """
+    scale = float(np.max(np.abs([amps.real, amps.imag]), initial=0.0))
+    if scale == 0.0:
+        return amps, scale
+    return amps.real / scale + 1j * (amps.imag / scale), scale
 
 
 def matricize(state: TripartiteState, cut: Cut) -> np.ndarray:

@@ -262,6 +262,30 @@ class TestCheckCommand:
         ok.write_text(serialize_state(basis_state((2, 2, 2), (0, 0, 0))))
         assert main(["check", str(off), str(ok), "--strict"]) == 65
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_off_scale_state_is_renormalized(
+        self, golden_files, tmp_path, capsys, scale
+    ):
+        # sum |a|^2 of this file underflows to 0 or overflows to inf.
+        amps = golden_pair_222()[0].amplitudes * scale
+        records = [
+            f"{i + 1} {j + 1} {k + 1} {a.real:.17g} {a.imag:.17g}"
+            for (i, j, k), a in zip(np.argwhere(amps), amps[amps != 0])
+        ]
+        off = tmp_path / "off.state"
+        off.write_text("\n".join(["dims: 2 2 2", *records]) + "\n")
+        with pytest.warns(RuntimeWarning, match="renormalizing"):
+            assert main(["check", str(off), golden_files[1]]) == 0
+        assert main(["check", str(off), golden_files[1], "--strict"]) == 65
+        assert "strict mode is on" in capsys.readouterr().err
+
+    def test_zero_state_exit_code(self, golden_files, tmp_path, capsys):
+        zero = tmp_path / "zero.state"
+        zero.write_text("dims: 2 2 2\n1 1 1 0 0\n")
+        for strict in ([], ["--strict"]):
+            assert main(["check", str(zero), golden_files[1], *strict]) == 65
+            assert "zero state" in capsys.readouterr().err
+
     def test_dimension_mismatch_exit_code(self, golden_files, tmp_path, capsys):
         other = tmp_path / "wide.state"
         other.write_text(serialize_state(basis_state((2, 2, 3), (0, 0, 0))))

@@ -341,10 +341,20 @@ def _verdict_class(decision):
 @example(dims=(6, 1, 3), trial=0, rank_deficient=True, log_spec_tol=-9)
 @example(dims=(1, 1, 1), trial=0, rank_deficient=False, log_spec_tol=-300)
 @example(dims=(5, 5, 5), trial=0, rank_deficient=False, log_spec_tol=-300)
+@example(dims=(8, 8, 8), trial=0, rank_deficient=False, log_spec_tol=-300)
+@example(dims=(8, 8, 8), trial=1, rank_deficient=True, log_spec_tol=-300)
+@example(dims=(12, 12, 12), trial=0, rank_deficient=False, log_spec_tol=-300)
+@example(dims=(12, 12, 12), trial=1, rank_deficient=True, log_spec_tol=-300)
+@example(dims=(4, 8, 16), trial=0, rank_deficient=True, log_spec_tol=-300)
+@example(dims=(8, 2, 16), trial=0, rank_deficient=True, log_spec_tol=-300)
+@example(dims=(32, 4, 4), trial=0, rank_deficient=True, log_spec_tol=-300)
 def test_lu_rotated_pairs_are_never_refuted(dims, trial, rank_deficient, log_spec_tol):
-    # Cuts with more rows than columns (cut A of 5x2x2 and 6x1x3) take the
-    # frame's full SVD; the others its thin one.  However small the spectra
-    # tolerance, the rounding of an LU pair's spectra is no witness.
+    # Cuts with more rows than columns (cut A of 5x2x2, 6x1x3 and 32x4x4)
+    # take the frame's full SVD; wide cuts with cols >= 2 rows and rows cols
+    # >= 512 (every cut of 8^3, 12^3 and 4x8x16, cuts B and C of 32x4x4) the
+    # QR route; the others (every cut of 8x2x16) the thin SVD.  However small
+    # the spectra tolerance, the rounding of an LU pair's spectra is no
+    # witness.
     state, rotated, factors = _lu_pair(dims, trial)
     if rank_deficient:
         rng = np.random.default_rng(trial)
@@ -416,16 +426,23 @@ def test_unitarity_tolerance_controls_the_certificate():
 
 
 def test_procrustes_is_reached_only_through_refit(monkeypatch):
-    # Besides the cut SVDs, every SVD of a decision is the polar factor in
-    # _refit: a generic pair needs it only to certify, a state maximally
-    # entangled across A starts from the one-block refit, GHZ needs sweeps.
+    # Besides the cut factorisations, every SVD of a decision is the polar
+    # factor in _refit: a generic pair needs it only to certify, a state
+    # maximally entangled across A starts from the one-block refit, GHZ
+    # needs sweeps.  QR serves the wide cuts alone (all of 4x8x16's).
     callers = []
-    svd = np.linalg.svd
+    qr_shapes = []
+    svd, qr = np.linalg.svd, np.linalg.qr
 
     def record(*args, **kwargs):
         frames = sys._getframe(1), sys._getframe(2)
         callers.append(tuple(frame.f_code.co_name for frame in frames))
         return svd(*args, **kwargs)
+
+    def record_qr(a, *args, **kwargs):
+        assert sys._getframe(1).f_code.co_name == "_cut_svds"
+        qr_shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
 
     max_a = _max_entangled_a((3, 3, 3), np.random.default_rng(0))
     factors = (random_unitary(3, seed) for seed in range(3))
@@ -433,13 +450,54 @@ def test_procrustes_is_reached_only_through_refit(monkeypatch):
         _lu_pair((3, 4, 5), 0)[:2],
         (max_a, apply_local_unitaries(max_a, *factors)),
         _rotated_ghz(),
+        _lu_pair((4, 8, 16), 0)[:2],
     )
     monkeypatch.setattr(np.linalg, "svd", record)
+    monkeypatch.setattr(np.linalg, "qr", record_qr)
     for first, second in pairs:
         _assert_certified(decide_equivalence(first, second), first, second)
     refits = {user for caller, user in callers if caller == "_refit"}
     assert {caller for caller, _ in callers} == {"_cut_svds", "_refit"}
     assert refits == {"_sweep", "_one_block_start", "_certify"}
+    # QR takes the transposed cut, cols x rows: 4x128, 8x64 and 16x32, twice.
+    assert sorted(qr_shapes) == sorted([(128, 4), (64, 8), (32, 16)] * 2)
+
+
+@pytest.mark.parametrize(
+    "dims, rank",
+    [
+        ((3, 3, 3), None),
+        ((8, 2, 16), None),
+        ((12, 12, 12), None),
+        ((12, 12, 12), 5),
+        ((4, 8, 16), 2),
+        ((6, 2, 2), None),
+        ((32, 4, 4), 3),
+    ],
+)
+def test_cut_svds_give_left_vectors_and_spectra(dims, rank):
+    # Cuts on both sides of the QR crossover (3^3 and 8x2x16 take SVDs only,
+    # 12^3 and 4x8x16 QR only), and with more rows than columns (cut A of
+    # 6x2x2 and 32x4x4); with ``rank`` set, cut A has that rank.
+    rng = np.random.default_rng(list(dims))
+    if rank is None:
+        state = random_state(dims, rng)
+    else:
+        state = _schmidt_state(dims, rank, None, rng)
+        state = apply_local_unitaries(
+            state, random_unitary(dims[0], rng), np.eye(dims[1]), np.eye(dims[2])
+        )
+    for cut, d, (vecs, spectrum) in zip(Cut, dims, equivalence._cut_svds(state)):
+        a = matricize(state, cut)
+        np.testing.assert_allclose(
+            spectrum, singular_spectrum(state, cut), rtol=0, atol=1e-13
+        )
+        assert vecs.shape == (d, d)
+        assert unitarity_defect(vecs) <= 1e-13
+        eigenvalues = np.zeros(d)
+        eigenvalues[: spectrum.size] = spectrum**2
+        gram = vecs.conj().T @ a @ a.conj().T @ vecs
+        np.testing.assert_allclose(gram, np.diag(eigenvalues), rtol=0, atol=1e-13)
 
 
 def _assert_certified(decision, first, second):
@@ -732,6 +790,58 @@ def _reproduces(phases, chi, significant):
     beta, phi, psi = phases
     product = np.einsum("s,p,q->spq", beta, phi, psi)
     return np.max(np.abs(product - chi)[significant]) <= 1e-12
+
+
+def test_phase_solve_fixes_each_factor_from_its_strongest_entry():
+    # Once beta_0, phi_0, psi_0 and psi_1 are set, entries (0, 1, 0) and
+    # (0, 1, 1) each leave phi_1 alone open; the stronger one fixes it, so
+    # only the weaker, rotated one misses the product.
+    weight = np.array([[[1.0, 0.9], [0.8, 0.5]]])
+    chi = np.exp(1j * np.array([[[0.1, 0.2], [0.3, 0.4]]]))
+    chi[0, 1, 1] *= np.exp(1e-3j)
+    (beta, phi, psi), cycle = equivalence._solve_phase_product(chi, weight)
+    miss = np.abs(np.einsum("s,p,q->spq", beta, phi, psi) - chi)
+    assert np.max(miss[0, :, 0]) <= 1e-15 and miss[0, 0, 1] <= 1e-15
+    assert abs(miss[0, 1, 1] - 1e-3) <= 1e-9
+    assert cycle is not None
+
+
+@pytest.mark.parametrize("kind", ["ghz4", "sparse"])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_phase_solve_breaks_ties_in_index_order(kind, rotated, monkeypatch):
+    # The significant entries take two weights (a GHZ_4 core: one), so only
+    # the order among ties decides which entry fixes each factor; the answer
+    # must be that of a solve whose every sort is stable.
+    rng = np.random.default_rng(8)
+    if kind == "ghz4":
+        dims = (4, 4, 4)
+        mask = np.zeros(dims, dtype=bool)
+        mask[np.arange(4), np.arange(4), np.arange(4)] = True
+    else:
+        dims = (7, 7, 7)
+        mask = _significance_mask("sparse", dims, rng)
+    levels = (0.5,) if kind == "ghz4" else (0.25, 0.5)
+    weight = np.where(mask, rng.choice(levels, dims), 0.0)
+    beta, phi, psi = (np.exp(2j * np.pi * rng.random(d)) for d in dims)
+    chi = np.einsum("s,p,q->spq", beta, phi, psi)
+    chi[~mask] = np.exp(2j * np.pi * rng.random(int((~mask).sum())))
+    if rotated:
+        chi[tuple(np.argwhere(mask)[-1])] *= np.exp(1e-3j)
+    phases, cycle = equivalence._solve_phase_product(chi, weight)
+    argsort = np.argsort
+
+    def stable_argsort(a, *args, kind=None, **kwargs):
+        return argsort(a, *args, kind="stable", **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "argsort", stable_argsort)
+        stable_phases, stable_cycle = equivalence._solve_phase_product(chi, weight)
+    for got, want in zip(phases, stable_phases):
+        assert got.tobytes() == want.tobytes()
+    assert (cycle is None) == (stable_cycle is None) == (kind == "ghz4" or not rotated)
+    if cycle is not None:
+        for got, want in zip(cycle, stable_cycle):
+            np.testing.assert_array_equal(got, want)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

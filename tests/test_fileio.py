@@ -91,6 +91,27 @@ class TestStateParsing:
             parsed = parse_state("dims: 2 2 2\n1 1 1 0.5 0\n")
         assert abs(np.linalg.norm(parsed.amplitudes) - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("value", ["1e-170", "1e200", "1.7e308", "5e-324"])
+    def test_off_scale_amplitudes_are_renormalized(self, value):
+        # sum |a|^2 underflows to 0 or overflows to inf for these values.
+        text = f"dims: 2 2 2\n1 1 1 {value} 0\n2 1 2 {value} {value}\n2 2 2 0 {value}\n"
+        with pytest.warns(RuntimeWarning) as record:
+            parsed = parse_state(text)
+        assert [str(w.message) for w in record] == [
+            f"<string>: renormalizing state with sum |a|^2 = 4.0 * {float(value)!r}^2"
+        ]
+        expected = np.zeros((2, 2, 2), dtype=complex)
+        expected[0, 0, 0], expected[1, 0, 1], expected[1, 1, 1] = 0.5, 0.5 + 0.5j, 0.5j
+        np.testing.assert_allclose(parsed.amplitudes, expected, rtol=0, atol=1e-15)
+        with pytest.raises(StateFormatError, match="strict"):
+            parse_state(text, strict=True)
+
+    def test_zero_amplitude_records_are_the_zero_state(self):
+        text = "dims: 2 2 2\n1 1 1 0 0\n2 2 2 -0.0 0\n"
+        for strict in (False, True):
+            with pytest.raises(StateFormatError, match="zero state"):
+                parse_state(text, strict=strict)
+
     def test_error_carries_source_and_line(self):
         with pytest.raises(StateFormatError, match=r"input\.state:2"):
             parse_state("dims: 2 2 2\n1 1 nope 1 0\n", source="input.state")
@@ -167,6 +188,16 @@ GOLDEN_ERRORS = {
     "strict-off-norm": (
         "dims: 2 2 2\n1 1 1 0.5 0\n",
         "s.state: state is not normalized (sum |a|^2 = 0.25) and strict mode is on",
+    ),
+    "strict-underflow": (
+        "dims: 2 2 2\n1 1 1 1e-170 0\n",
+        "s.state: state is not normalized (sum |a|^2 = 1.0 * 1e-170^2) "
+        "and strict mode is on",
+    ),
+    "strict-overflow": (
+        "dims: 2 2 2\n1 1 1 0 -1e200\n",
+        "s.state: state is not normalized (sum |a|^2 = 1.0 * 1e+200^2) "
+        "and strict mode is on",
     ),
     "missing-dims": ("# only\n\n", "s.state: missing dims line"),
     "bad-float-before-duplicate-dims": (

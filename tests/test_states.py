@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,16 @@ class TestTripartiteState:
     def test_from_unnormalized_rejects_zero(self):
         with pytest.raises(ValueError, match="zero state"):
             TripartiteState.from_unnormalized(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200, 1.7e308, 5e-324])
+    def test_from_unnormalized_off_scale(self, scale):
+        # sum |a|^2 underflows to 0 or overflows to inf at these scales.
+        amps = np.zeros((2, 2, 2), dtype=complex)
+        amps[0, 0, 0], amps[1, 0, 1], amps[1, 1, 1] = 1, 1 + 1j, 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = TripartiteState.from_unnormalized(amps * scale)
+        np.testing.assert_allclose(state.amplitudes, amps / 2, rtol=0, atol=1e-15)
 
     def test_amplitudes_frozen(self):
         state = random_state((2, 2, 2), seed=2)
