@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .states import TripartiteState, scaled_to_unit_max
+from .states import TripartiteState, normalized
 from .tolerances import NORM_TOL
 
 DECISION_SCHEMA = "triequiv.decision/2"
@@ -182,24 +182,21 @@ def parse_state(
 ) -> TripartiteState:
     """Parse a state document.
 
-    In strict mode the amplitudes must already be normalized within the
-    package norm tolerance; otherwise off-norm states are renormalized with a
-    ``RuntimeWarning``, through :func:`scaled_to_unit_max` when sum |a|^2
-    under- or overflows.  A state with no (or all-zero) amplitude records is
-    rejected as a zero state.
+    Amplitudes normalized within the package norm tolerance are kept exactly
+    as read.  Others are rejected in strict mode and otherwise renormalized
+    by :func:`~triequiv.states.normalized`, as ``from_unnormalized`` would,
+    with a ``RuntimeWarning``.  A state with no (or all-zero) amplitude
+    records is rejected as a zero state.
     """
     amps = _scan(text, source, index_count=3)
     with np.errstate(over="ignore"):
         sq_norm = float(np.sum(np.abs(amps) ** 2))
     if abs(sq_norm - 1.0) <= NORM_TOL:
         return TripartiteState(amps)
-    shown = repr(sq_norm)
-    if not 0.0 < sq_norm < np.inf:
-        amps, scale = scaled_to_unit_max(amps)
-        if scale == 0.0:
-            raise StateFormatError(f"{source}: amplitudes describe the zero state")
-        sq_norm = float(np.sum(np.abs(amps) ** 2))
-        shown = f"{sq_norm!r} * {scale!r}^2"
+    try:
+        amps, shown = normalized(amps)
+    except ValueError:
+        raise StateFormatError(f"{source}: amplitudes describe the zero state") from None
     if strict:
         raise StateFormatError(
             f"{source}: state is not normalized (sum |a|^2 = {shown}) "
@@ -210,7 +207,7 @@ def parse_state(
         RuntimeWarning,
         stacklevel=2,
     )
-    return TripartiteState(amps / np.sqrt(sq_norm))
+    return TripartiteState(amps)
 
 
 def load_state(path, strict: bool = False) -> TripartiteState:

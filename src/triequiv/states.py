@@ -55,34 +55,33 @@ class TripartiteState:
 
     @classmethod
     def from_unnormalized(cls, amplitudes) -> "TripartiteState":
-        """Build a state from an arbitrary nonzero tensor, normalizing it.
-
-        A tensor whose sum |a|^2 under- or overflows is normalized through
-        :func:`scaled_to_unit_max`.
-        """
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        with np.errstate(over="ignore"):
-            nrm = float(np.linalg.norm(amps))
-        if not 0.0 < nrm < np.inf:
-            amps, scale = scaled_to_unit_max(amps)
-            if scale == 0.0:
-                raise ValueError("cannot normalize the zero state")
-            nrm = float(np.linalg.norm(amps))
-        return cls(amps / nrm)
+        """Build a state from a finite nonzero tensor via :func:`normalized`."""
+        return cls(normalized(amplitudes)[0])
 
 
-def scaled_to_unit_max(amps: np.ndarray) -> tuple[np.ndarray, float]:
-    """``amps`` divided by its largest real or imaginary part, and that part.
+def normalized(amplitudes) -> tuple[np.ndarray, str]:
+    """The tensor divided by its norm, and its sum |a|^2 as messages show it.
 
-    Sum |a|^2 of the result lies in [1, 2 amps.size] and so neither under- nor
-    overflows.  The parts are divided apart because a complex division by a
-    subnormal number overflows.  A zero (or empty) ``amps`` comes back with
-    scale 0.
+    The one normaliser: ``from_unnormalized`` and off-norm state files share
+    it.  When sum |a|^2 is subnormal (its squares have lost bits), zero or
+    overflows, the tensor is first divided by its largest real or imaginary
+    part (Blue, ACM TOMS 4, 1978), the parts apart because a complex division
+    by a subnormal number overflows, and the sum is shown as ``s * scale^2``.
+    Amplitudes that are not finite, or all zero, raise ``ValueError``.
     """
-    scale = float(np.max(np.abs([amps.real, amps.imag]), initial=0.0))
-    if scale == 0.0:
-        return amps, scale
-    return amps.real / scale + 1j * (amps.imag / scale), scale
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes are not finite")
+    with np.errstate(over="ignore"):
+        sq_norm = float(np.sum(np.abs(amps) ** 2))
+    shown = repr(sq_norm)
+    if not np.finfo(float).tiny <= sq_norm < np.inf:
+        scale = float(np.max(np.abs([amps.real, amps.imag]), initial=0.0))
+        if scale == 0.0:
+            raise ValueError("cannot normalize the zero state")
+        amps = amps.real / scale + 1j * (amps.imag / scale)
+        shown = f"{float(np.sum(np.abs(amps) ** 2))!r} * {scale!r}^2"
+    return amps / np.linalg.norm(amps), shown
 
 
 def matricize(state: TripartiteState, cut: Cut) -> np.ndarray:
@@ -101,7 +100,8 @@ def matricize(state: TripartiteState, cut: Cut) -> np.ndarray:
 
 def unfold(tensor: np.ndarray, axis: int) -> np.ndarray:
     """The tensor as a matrix: rows index ``axis``, columns the other axes in order."""
-    return np.moveaxis(tensor, axis, 0).reshape(tensor.shape[axis], -1)
+    rest = [i for i in range(tensor.ndim) if i != axis]
+    return tensor.transpose(axis, *rest).reshape(tensor.shape[axis], -1)
 
 
 def reduced_density(state: TripartiteState, cut: Cut) -> np.ndarray:
@@ -160,7 +160,7 @@ def random_state(dims: tuple[int, int, int], seed=None) -> TripartiteState:
         raise ValueError(f"dimensions must be positive, got {dims}")
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal((k, m, n)) + 1j * rng.standard_normal((k, m, n))
-    return TripartiteState(amps / np.linalg.norm(amps))
+    return TripartiteState.from_unnormalized(amps)
 
 
 def random_unitary(n: int, seed=None) -> np.ndarray:

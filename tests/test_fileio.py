@@ -16,6 +16,7 @@ from triequiv.fileio import (
     serialize_state,
 )
 from triequiv.states import TripartiteState, random_state, random_unitary
+from triequiv.tolerances import NORM_TOL
 from util import RT2, golden_pair_222, oracle_document, oracle_matrix_pairs
 
 
@@ -225,6 +226,50 @@ GOLDEN_ERRORS = {
         "s.state:3: index (1, 1, 5) out of range for dims (2, 2, 2) (component 3)",
     ),
 }
+
+
+def _exact_records(amps: np.ndarray) -> str:
+    """A state document listing every entry of ``amps`` with exact values."""
+    lines = ["dims: " + " ".join(map(str, amps.shape))]
+    for index, value in np.ndenumerate(amps):
+        idx = " ".join(str(i + 1) for i in index)
+        lines.append(f"{idx} {float(value.real)!r} {float(value.imag)!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestOneNormaliser:
+    """A file and the library turn the same off-norm tensor into the same state."""
+
+    @staticmethod
+    def _assert_same_state(amps):
+        with pytest.warns(RuntimeWarning, match="renormalizing"):
+            parsed = parse_state(_exact_records(amps))
+        built = TripartiteState.from_unnormalized(amps)
+        assert np.array_equal(parsed.amplitudes, built.amplitudes)
+
+    def test_seeded_off_norm_tensors(self):
+        rng = np.random.default_rng(2000)
+        for _ in range(500):
+            dims = tuple(rng.integers(1, 6, size=3))
+            amps = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+            amps *= 10.0 ** rng.uniform(-150, 150)
+            assert abs(np.sum(np.abs(amps) ** 2) - 1.0) > NORM_TOL
+            self._assert_same_state(amps)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200, 5e-324, 1.7e308, 2e-162])
+    def test_off_scale_tensors(self, scale):
+        amps = np.zeros((2, 3, 2), dtype=complex)
+        amps[0, 0, 0], amps[1, 2, 1], amps[1, 1, 0] = 1, 1 + 1j, -1j
+        self._assert_same_state(amps * scale)
+
+    def test_subnormal_sum_strict_message(self):
+        text = "dims: 2 1 1\n1 1 1 2e-162 0\n2 1 1 0 2e-162\n"
+        with pytest.raises(StateFormatError) as caught:
+            parse_state(text, strict=True, source="s.state")
+        assert str(caught.value) == (
+            "s.state: state is not normalized (sum |a|^2 = 2.0 * 2e-162^2) "
+            "and strict mode is on"
+        )
 
 
 class TestErrorMessages:

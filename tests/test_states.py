@@ -8,9 +8,11 @@ from triequiv.states import (
     TripartiteState,
     apply_local_unitaries,
     matricize,
+    normalized,
     random_state,
     random_unitary,
     reduced_density,
+    unfold,
     unitarity_defect,
 )
 from util import RT2, basis_state, golden_pair_222, golden_pair_223
@@ -59,6 +61,42 @@ class TestTripartiteState:
         state = random_state((2, 2, 2), seed=2)
         with pytest.raises(ValueError):
             state.amplitudes[0, 0, 0] = 1.0
+
+
+class TestNormalized:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_is_rejected_before_any_division(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                TripartiteState.from_unnormalized(np.array([1, bad]).reshape(2, 1, 1))
+
+    def test_normal_scale_is_one_division_by_the_norm(self):
+        # The benchmark inputs are built this way; their bits are pinned here.
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            dims = tuple(rng.integers(1, 7, size=3))
+            amps = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+            amps *= 10.0 ** rng.uniform(-100, 100)
+            state = TripartiteState.from_unnormalized(amps)
+            assert np.array_equal(state.amplitudes, amps / np.linalg.norm(amps))
+
+    @pytest.mark.parametrize("dims", DIMS + [(12, 12, 12), (4, 8, 16)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_state_is_pinned(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        state = random_state(dims, seed)
+        assert np.array_equal(state.amplitudes, amps / np.linalg.norm(amps))
+
+    @pytest.mark.parametrize("scale", [2e-162, 1e-158, 1e-155])
+    def test_subnormal_sum_is_rescaled(self, scale):
+        # 8 * scale^2 is subnormal: dividing by its square root misses the
+        # unit norm by 19 % at 2e-162 and by 1.6e-8 at 1e-158.
+        amps = np.full((2, 2, 2), scale, dtype=complex)
+        unit, shown = normalized(amps)
+        assert np.array_equal(unit, np.full((2, 2, 2), 1 / np.sqrt(8)))
+        assert shown == f"8.0 * {scale!r}^2"
 
 
 class TestMatricize:
@@ -218,3 +256,18 @@ class TestRandomGenerators:
 
     def test_random_unitary_deterministic(self):
         assert np.array_equal(random_unitary(3, seed=5), random_unitary(3, seed=5))
+
+
+class TestUnfold:
+    @pytest.mark.parametrize("axes", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    def test_matches_moveaxis_on_permuted_views(self, axes):
+        tensor = np.arange(60, dtype=complex).reshape(3, 4, 5).transpose(axes)
+        for axis in range(3):
+            expected = np.moveaxis(tensor, axis, 0).reshape(tensor.shape[axis], -1)
+            assert np.array_equal(unfold(tensor, axis), expected)
+
+    def test_matricize_is_contiguous_for_a_permuted_state(self):
+        amps = random_state((2, 3, 4), seed=5).amplitudes.transpose(2, 0, 1)
+        state = TripartiteState(amps)
+        for cut in Cut:
+            assert matricize(state, cut).flags.c_contiguous
