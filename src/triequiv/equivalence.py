@@ -32,7 +32,6 @@ from .states import apply_local_unitaries  # noqa: F401
 from .states import (
     Cut,
     TripartiteState,
-    matricize,
     random_unitary,
     unfold,
     unitarity_defect,
@@ -116,16 +115,12 @@ class StateFrame:
 
     ``bases[p]`` holds cut p's left singular vectors (party p's reduction
     eigenvectors) as columns, ``eigenvalues[p]`` the squares of its singular
-    values, descending, padded with zeros to d_p.  ``groups[p]`` splits the
-    indices into runs of eigenvalues above ``_EIG_GAP`` that lie closer than
-    ``_EIG_GAP``; each smaller one, where the state has (almost) no weight,
-    is a group of its own.
+    values, descending, padded with zeros to d_p; :func:`_groups` splits them.
     """
 
     bases: tuple[np.ndarray, np.ndarray, np.ndarray]
     eigenvalues: tuple[np.ndarray, np.ndarray, np.ndarray]
     core: np.ndarray
-    groups: tuple[tuple[slice, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -276,6 +271,42 @@ def _solve_angles(
     return x, combo[len(pivots) :]
 
 
+def _phase_start(
+    chi: np.ndarray, weight: np.ndarray, significant: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The first two sweeps of :func:`_solve_phase_product` in closed form.
+
+    With beta_s0 = phi_p0 = 1 at the strongest entry (s0, p0, q0), the
+    first sweep fixes every psi_q from the fibre (s0, p0, :), and the second
+    every phi_p from the strongest entry of slab (s0, p, :) and every beta_s
+    from that of row s of slab (:, p0, :); ``argmax`` takes the lowest index
+    among ties, as the sweeps' stable sort does.  Each factor is the sweep's
+    quotient, bit for bit; the division by 1 stays, as it turns a -0.0 part
+    into the sweeps' +0.0.  Returns the factors if they hold on every
+    significant entry within ``_PHASE_TOL``; None if an entry misses, or a
+    fibre entry or a slab's strongest entry is not significant (a factor
+    would be left to later sweeps).
+    """
+    r, m, _ = chi.shape
+    s0, p0, _ = np.unravel_index(np.argmax(weight), chi.shape)
+    at_p, at_s = weight[s0].argmax(axis=1), weight[:, p0].argmax(axis=1)
+    if not (
+        significant[s0, p0].all()
+        and significant[s0, np.arange(m), at_p].all()
+        and significant[np.arange(r), p0, at_s].all()
+    ):
+        return None
+    one = np.complex128(1)  # beta_s0 and phi_p0, the gauge choice
+    psi = chi[s0, p0] / one
+    phi = chi[s0, np.arange(m), at_p] / (one * psi[at_p])
+    beta = chi[np.arange(r), p0, at_s] / (one * psi[at_s])
+    phi[p0] = beta[s0] = one
+    miss = np.abs(chi - beta[:, None, None] * phi[:, None] * psi)
+    if np.any(significant & (miss > _PHASE_TOL)):
+        return None
+    return beta, phi, psi
+
+
 def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     """Factor chi[s,p,q] = beta_s * phi_p * psi_q over significant entries.
 
@@ -287,7 +318,11 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     gauge choice.  When no entry has exactly one unknown, a further factor
     set to 1 could lie on a cycle of entries that fixes it up to a root of
     unity, so the open entries are solved exactly instead, by
-    :func:`_solve_angles`.
+    :func:`_solve_angles`.  A consistent solve that two sweeps complete, as
+    on the generic frames of LU pairs, is :func:`_phase_start`, which
+    reads the fibre and two slabs through the strongest entry and checks the
+    rest in one pass; only when it returns None are the entries sorted and
+    swept, with the same answer.
 
     Returns (beta, phi, psi) and None, or on inconsistency the factors as
     assigned (every entry that fixed a factor holds) and a cycle.  The
@@ -300,6 +335,8 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     """
     r, m, n = chi.shape
     significant = weight > _PHASE_CUTOFF * float(weight.max())
+    if (phases := _phase_start(chi, weight, significant)) is not None:
+        return phases, None
     s, p, q = np.nonzero(significant)
     strength = weight[s, p, q]
     strongest = np.argsort(-strength)
@@ -402,6 +439,17 @@ def _one_block_start(
     return g, residual
 
 
+def _joined(vals: np.ndarray) -> np.ndarray:
+    """Whether eigenvalue i, above ``_EIG_GAP``, lies closer than it to i + 1."""
+    return (vals[:-1] > _EIG_GAP) & (vals[:-1] - vals[1:] < _EIG_GAP)
+
+
+def _groups(vals: np.ndarray) -> tuple[slice, ...]:
+    """A party's eigenvalue groups: the index runs that :func:`_joined` links."""
+    edges = [0, *(np.flatnonzero(~_joined(vals)) + 1).tolist(), vals.size]
+    return tuple(slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+
+
 def _block_unitary(groups: tuple[slice, ...], rng: np.random.Generator) -> np.ndarray:
     """Random unitary that is block-diagonal over ``groups``."""
     dim = groups[-1].stop
@@ -475,7 +523,7 @@ def gauge_search(
         raise ValueError(f"shape mismatch: {core.shape} vs {target.shape}")
     phases = [np.ones(d) for d in core.shape]
     obstruction = None
-    split = [len(groups) == d for groups, d in zip(first.groups, core.shape)]
+    split = [not _joined(vals).any() for vals in first.eigenvalues]
     if all(split):
         phases, cycle = _solve_phase_product(_phase_ratio(target, core), np.abs(core))
         if cycle is not None:
@@ -488,6 +536,7 @@ def gauge_search(
         g = [np.diag(phase) for phase in phases]
     best_g = list(g)
     rng = np.random.default_rng(0)
+    groups = None  # built at the first restart, which a generic pair never reaches
     last = best
     for _ in range(0 if obstruction else budget):
         if best <= tols.reconstruction:
@@ -496,7 +545,8 @@ def gauge_search(
         if residual < best:
             best_g, best = list(g), residual
         if residual > last * (1.0 - _MIN_GAIN):
-            g = [_block_unitary(groups, rng) for groups in first.groups]
+            groups = groups or [_groups(vals) for vals in first.eigenvalues]
+            g = [_block_unitary(blocks, rng) for blocks in groups]
             last = np.inf
         else:
             last = residual
@@ -525,43 +575,54 @@ def _certify(
     return tuple(g), residual
 
 
-def _cut_svds(state: TripartiteState) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Left singular vectors and singular values of cuts A, B and C.
+def _cut_svds(*states: TripartiteState) -> list | tuple[list, ...]:
+    """Left singular vectors and singular values of cuts A, B and C of each state.
 
-    A wide cut a, d x c with c >= 2 d and d c >= 512, is factored through the
-    R of a^t = Q R (Chan's R-SVD): a = R^t Q^t and Q^t has orthonormal rows,
-    so the SVD of the d x d factor R^t gives the left vectors and spectrum of
+    Returns a list of three (vecs, spectrum) pairs per state; for one state
+    that list alone, as ``np.atleast_1d`` returns its one array.  A wide cut
+    a, d x c with c >= 2 d and d c >= 512, is factored through the R of
+    a^t = Q R (Chan's R-SVD): a = R^t Q^t and Q^t has orthonormal rows, so
+    the SVD of the d x d factor R^t gives the left vectors and spectrum of
     a, and the c x d right factor is never formed.  Smaller or squarer cuts
     take one SVD, where LAPACK's extra call costs more than it saves (the
     crossover measured with one BLAS thread: QR lost at 8 x 32, 12 x 24 and
     32 x 32, tied at 16 x 32, won at 2 x 256, 4 x 128, 8 x 64 and 12 x 144).
-    Only a cut with more rows than columns needs the full left factor.
+    Only a cut with more rows than columns needs the full left factor.  The
+    states' matrices of one cut are stacked, so each cut costs one call per
+    factorisation whatever the number of states: numpy factors a stack one
+    matrix at a time with the same LAPACK routine and workspace, so every
+    state gets the bits it gets alone.  That saves the per-call overhead
+    which dominates up to 16^3; from 24^3 up the stack's larger buffers cost
+    more than it saves (measured with one BLAS thread: 10-35 % more for the
+    cuts of a 24^3 to 64^3 pair), which the phase solve's closed-form start
+    more than repays in the decision.
     """
-    svds = []
-    for cut in Cut:
-        a = matricize(state, cut)
-        rows, cols = a.shape
+    svds: list[list] = [[] for _ in states]
+    tensors = np.stack([state.amplitudes for state in states])
+    for axis in range(3):
+        # Each state's unfolding along the axis, as states.unfold gives it.
+        a = np.moveaxis(tensors, axis + 1, 1)
+        a = a.reshape(*a.shape[:2], -1)
+        rows, cols = a.shape[1:]
         if cols >= 2 * rows and rows * cols >= 512:
-            a = np.linalg.qr(a.T, mode="r").T
-        vecs, spectrum, _ = np.linalg.svd(a, full_matrices=rows > cols)
-        svds.append((vecs, spectrum))
-    return svds
+            a = np.linalg.qr(a.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+        vecs, spectra, _ = np.linalg.svd(a, full_matrices=rows > cols)
+        for side, v, s in zip(svds, vecs, spectra):
+            side.append((v, s))
+    return svds[0] if len(states) == 1 else tuple(svds)
 
 
 def _state_frame(state: TripartiteState, svds: list) -> StateFrame:
-    """Frame of ``state`` from its :func:`_cut_svds`: bases, eigenvalues, groups, core."""
-    eigenvalues, groups = [], []
-    for vecs, spectrum in svds:
-        vals = np.concatenate((spectrum**2, np.zeros(vecs.shape[0] - spectrum.size)))
-        joined = (vals[:-1] > _EIG_GAP) & (vals[:-1] - vals[1:] < _EIG_GAP)
-        edges = [0, *(np.flatnonzero(~joined) + 1).tolist(), vals.size]
-        eigenvalues.append(vals)
-        groups.append(tuple(slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])))
-    bases, _ = zip(*svds)
+    """Frame of ``state`` from its :func:`_cut_svds`: bases, eigenvalues, core."""
+    bases = tuple(vecs for vecs, _ in svds)
+    eigenvalues = tuple(
+        np.concatenate((spectrum**2, np.zeros(vecs.shape[0] - spectrum.size)))
+        for vecs, spectrum in svds
+    )
     e_a, e_b, e_c = (e.conj().T for e in bases)
     k, m, n = state.dims
     core = e_b @ (e_a @ (state.amplitudes @ e_c.T).reshape(k, -1)).reshape(k, m, n)
-    return StateFrame(bases, tuple(eigenvalues), core, tuple(groups))
+    return StateFrame(bases, eigenvalues, core)
 
 
 def decide_equivalence(
@@ -588,7 +649,7 @@ def decide_equivalence(
     if gauge_budget < 0:
         raise ValueError(f"gauge_budget must be >= 0, got {gauge_budget}")
 
-    svds = _cut_svds(state), _cut_svds(other)
+    svds = _cut_svds(state, other)
     spectra = tuple(tuple(tuple(s.tolist()) for _, s in side) for side in svds)
     size = state.amplitudes.size
     for cut, d, (_, sa), (_, sb) in zip(Cut, state.dims, *svds):

@@ -185,9 +185,20 @@ def parse_state(
     Amplitudes normalized within the package norm tolerance are kept exactly
     as read.  Others are rejected in strict mode and otherwise renormalized
     by :func:`~triequiv.states.normalized`, as ``from_unnormalized`` would,
-    with a ``RuntimeWarning``.  A state with no (or all-zero) amplitude
-    records is rejected as a zero state.
+    with a ``RuntimeWarning`` that names the caller's line.  A state with no
+    (or all-zero) amplitude records is rejected as a zero state.
     """
+    return _read_state(text, strict, source)
+
+
+def load_state(path, strict: bool = False) -> TripartiteState:
+    """Read a state file, as :func:`parse_state` reads its text."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return _read_state(handle.read(), strict, str(path))
+
+
+def _read_state(text: str, strict: bool, source: str) -> TripartiteState:
+    """The body of :func:`parse_state` and :func:`load_state`, one call below both."""
     amps = _scan(text, source, index_count=3)
     with np.errstate(over="ignore"):
         sq_norm = float(np.sum(np.abs(amps) ** 2))
@@ -205,14 +216,9 @@ def parse_state(
     warnings.warn(
         f"{source}: renormalizing state with sum |a|^2 = {shown}",
         RuntimeWarning,
-        stacklevel=2,
+        stacklevel=3,  # the caller of parse_state or load_state
     )
     return TripartiteState(amps)
-
-
-def load_state(path, strict: bool = False) -> TripartiteState:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_state(handle.read(), strict=strict, source=str(path))
 
 
 def _document(array: np.ndarray, label: str | None) -> str:

@@ -440,7 +440,11 @@ class TestRandomCommand:
 
 
 class TestFactorisationCounts:
-    """Each state is decomposed once: one SVD per cut, shared by every layer."""
+    """Each state is decomposed once: one SVD per cut, shared by every layer.
+
+    The counts are of factored matrices, not calls: a stacked call counts
+    each matrix of the stack.
+    """
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -448,7 +452,7 @@ class TestFactorisationCounts:
         for name in counts:
 
             def counted(*args, name=name, original=getattr(np.linalg, name), **kwargs):
-                counts[name] += 1
+                counts[name] += int(np.prod(np.shape(args[0])[:-2]))
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)

@@ -440,8 +440,10 @@ def test_procrustes_is_reached_only_through_refit(monkeypatch):
         return svd(*args, **kwargs)
 
     def record_qr(a, *args, **kwargs):
+        # One call factors the cut of both states; record each matrix.
         assert sys._getframe(1).f_code.co_name == "_cut_svds"
-        qr_shapes.append(np.shape(a))
+        *stack, rows, cols = np.shape(a)
+        qr_shapes.extend([(rows, cols)] * int(np.prod(stack)))
         return qr(a, *args, **kwargs)
 
     max_a = _max_entangled_a((3, 3, 3), np.random.default_rng(0))
@@ -634,7 +636,8 @@ def test_locally_maximally_mixed_lu_pairs_are_certified():
     for trial in range(8):
         rng = np.random.default_rng([29, trial])
         state = _locally_maximally_mixed((3, 3, 3), rng)
-        assert [len(groups) for groups in _frames(state)[0].groups] == [1, 1, 1]
+        groups = [equivalence._groups(vals) for vals in _frames(state)[0].eigenvalues]
+        assert [len(blocks) for blocks in groups] == [1, 1, 1]
         rotated = apply_local_unitaries(state, *(random_unitary(3, rng) for _ in range(3)))
         decision = decide_equivalence(state, rotated)
         assert decision.verdict is Verdict.EQUIVALENT_D1
@@ -888,3 +891,147 @@ def test_phase_solver_matches_flood_fill(dims, kind, seed):
         assert abs(holonomy - y[at[0]] * 1e-3) <= 1e-9
     if kind == "dense" and min(dims) >= 2:
         assert cycle is not None
+
+
+def _solve_both_ways(chi, weight):
+    """The phase solve, checked bit for bit against its sweeps alone.
+
+    Returns its phases, its cycle and whether :func:`_phase_start` gave them.
+    """
+    starts = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivalence, "_phase_start", _recorded(starts, "_phase_start"))
+        phases, cycle = equivalence._solve_phase_product(chi, weight)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivalence, "_phase_start", lambda *args: None)
+        swept, swept_cycle = equivalence._solve_phase_product(chi, weight)
+    for got, want in zip(phases, swept):
+        assert got.tobytes() == want.tobytes()
+    assert (cycle is None) == (swept_cycle is None)
+    if cycle is not None:
+        for got, want in zip(cycle, swept_cycle):
+            np.testing.assert_array_equal(got, want)
+    return phases, cycle, starts[0] is not None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+    log_noise=st.one_of(st.none(), st.floats(-13.0, -9.0)),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=(12, 12, 12), log_noise=None, seed=0)
+@example(dims=(12, 12, 12), log_noise=-9.0, seed=0)
+@example(dims=(1, 1, 1), log_noise=None, seed=0)
+@example(dims=(12, 1, 3), log_noise=None, seed=0)
+def test_phase_start_gives_the_sweeps_bits(dims, log_noise, seed):
+    # Generic frames of LU pairs, with noise up to the reconstruction
+    # tolerance: where the closed-form start settles the solve, its phases
+    # are those of the sweeps, and where it does not, the sweeps run.
+    state, rotated, _ = _lu_pair(dims, seed)
+    if log_noise is not None:
+        rotated = _with_noise(rotated, 10.0**log_noise, np.random.default_rng(seed))
+    first, second = _frames(state, rotated)
+    _solve_both_ways(equivalence._phase_ratio(second.core, first.core), np.abs(first.core))
+
+
+@pytest.mark.parametrize("dims", [(8, 8, 8), (12, 12, 12), (4, 8, 16), (3, 4, 5)])
+def test_phase_start_settles_generic_lu_pairs(dims):
+    for trial in range(3):
+        first, second = _frames(*_lu_pair(dims, trial)[:2])
+        chi = equivalence._phase_ratio(second.core, first.core)
+        _, cycle, started = _solve_both_ways(chi, np.abs(first.core))
+        assert started and cycle is None
+
+
+@pytest.mark.parametrize(
+    "case, started",
+    [
+        ("weak-fibre", False),
+        ("empty-slab", False),
+        ("tied", True),
+        ("two-levels", True),
+        ("signed-zeros", True),
+    ],
+)
+def test_phase_start_falls_back_only_when_a_factor_stays_open(case, started):
+    # The strongest entry is (1, 2, 0).  A fibre entry through it below the
+    # cutoff, or a slab (1, p, :) without a significant entry, leaves a factor
+    # to later sweeps; ties among the weights do not, as argmax breaks them
+    # in index order, as the sweeps' stable sort does.  Quarter turns whose
+    # zero parts are all -0.0 need the sweeps' quotients, not chi itself.
+    rng = np.random.default_rng(5)
+    dims = (4, 5, 6)
+    chi = np.einsum("s,p,q->spq", *(np.exp(2j * np.pi * rng.random(d)) for d in dims))
+    if case == "signed-zeros":
+        turns = sum(np.ix_(*(rng.integers(4, size=d) for d in dims))) % 4
+        chi = np.array([1, 1j, -1, -1j])[turns]
+        chi.real[chi.real == 0] = -0.0
+        chi.imag[chi.imag == 0] = -0.0
+    weight = {
+        "weak-fibre": rng.uniform(0.5, 1.0, dims),
+        "empty-slab": rng.uniform(0.5, 1.0, dims),
+        "tied": np.ones(dims),
+        "two-levels": rng.choice((0.25, 0.5), dims),
+        "signed-zeros": rng.uniform(0.5, 1.0, dims),
+    }[case]
+    weight[1, 2, 0] = 2.0
+    if case == "weak-fibre":
+        weight[1, 2, 3] = 1e-5
+    if case == "empty-slab":
+        weight[1, 4, :] = 1e-5
+    phases, cycle, took_start = _solve_both_ways(chi, weight)
+    assert took_start is started
+    assert cycle is None
+    assert _reproduces(phases, chi, weight > 2e-3)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4), (3, 5, 7)])
+def test_phase_start_falls_back_on_conjugate_pairs(dims):
+    # psi against psi*: the start's phases miss some entry, and the sweeps
+    # give the cycle.
+    state = random_state(dims, 7)
+    first, second = _frames(state, TripartiteState(state.amplitudes.conj()))
+    chi = equivalence._phase_ratio(second.core, first.core)
+    _, cycle, started = _solve_both_ways(chi, np.abs(first.core))
+    assert not started
+    assert cycle is not None
+
+
+@pytest.mark.parametrize(
+    "dims", [(3, 3, 3), (8, 2, 16), (12, 12, 12), (4, 8, 16), (6, 2, 2), (32, 4, 4)]
+)
+def test_stacked_cut_svds_give_each_state_its_own_bits(dims):
+    # 3^3 and 8x2x16 take SVDs only, 12^3 and 4x8x16 QR only, cut A of 6x2x2
+    # and 32x4x4 the full SVD of a tall cut, and cuts B and C of 32x4x4 QR.
+    rng = np.random.default_rng(list(dims))
+    states = [random_state(dims, rng) for _ in range(3)]
+    for count in (2, 3):
+        for state, svds in zip(states, equivalence._cut_svds(*states[:count])):
+            for (vecs, spectrum), (own_vecs, own_spectrum) in zip(
+                svds, equivalence._cut_svds(state)
+            ):
+                assert vecs.tobytes() == own_vecs.tobytes()
+                assert spectrum.tobytes() == own_spectrum.tobytes()
+
+
+def test_generic_pairs_build_no_groups(monkeypatch):
+    monkeypatch.setattr(equivalence, "_groups", _refuse)
+    for dims in ((12, 12, 12), (4, 8, 16), (3, 4, 5), (5, 2, 2)):
+        state, rotated, _ = _lu_pair(dims, 0)
+        _assert_certified(decide_equivalence(state, rotated), state, rotated)
+
+
+def test_groups_are_built_once_at_the_first_restart(monkeypatch):
+    # The maxA pair of test_deterministic_for_fixed_seed restarts four times,
+    # drawing one block unitary per party each time.
+    state = _max_entangled_a((3, 3, 3), np.random.default_rng(0))
+    frames = _frames(state, TripartiteState(state.amplitudes.conj()))
+    groups, restarts = [], []
+    monkeypatch.setattr(equivalence, "_groups", _recorded(groups, "_groups"))
+    monkeypatch.setattr(
+        equivalence, "_block_unitary", _recorded(restarts, "_block_unitary")
+    )
+    gauge_search(*frames, budget=60)
+    assert len(restarts) == 12
+    assert [len(blocks) for blocks in groups] == [1, 3, 3]

@@ -15,7 +15,7 @@ from triequiv.fileio import (
     serialize_matrix,
     serialize_state,
 )
-from triequiv.states import TripartiteState, random_state, random_unitary
+from triequiv.states import TripartiteState, normalized, random_state, random_unitary
 from triequiv.tolerances import NORM_TOL
 from util import RT2, golden_pair_222, oracle_document, oracle_matrix_pairs
 
@@ -91,6 +91,17 @@ class TestStateParsing:
         with pytest.warns(RuntimeWarning, match="renormalizing"):
             parsed = parse_state("dims: 2 2 2\n1 1 1 0.5 0\n")
         assert abs(np.linalg.norm(parsed.amplitudes) - 1.0) < 1e-15
+
+    def test_renormalization_warning_names_the_caller(self, tmp_path):
+        # Not fileio.py: the warning points at the line that read the state,
+        # whether it read text or a file.
+        text = "dims: 2 2 2\n1 1 1 0.5 0\n"
+        path = tmp_path / "off.state"
+        path.write_text(text)
+        for read in (lambda: parse_state(text), lambda: load_state(path)):
+            with pytest.warns(RuntimeWarning, match="renormalizing") as record:
+                read()
+            assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.parametrize("value", ["1e-170", "1e200", "1.7e308", "5e-324"])
     def test_off_scale_amplitudes_are_renormalized(self, value):
@@ -341,7 +352,9 @@ class TestRoundTripProperty:
             amps[:] = 0
             amps[(0, 0, 0)] = 1 + 2**-52  # sum |a|^2 = 1 + 2**-51, within NORM_TOL
         else:
-            amps /= np.linalg.norm(amps)
+            # Not amps / np.linalg.norm(amps): that norm underflows for
+            # amplitudes below about 1e-154 and leaves the state off norm.
+            amps = normalized(amps)[0]
         # Values far below the norm tolerance keep the state normalized.
         tiny = st.sampled_from([1e-300, 2**-60, -5e-324, 0.0, -0.0])
         for pos in zip(*np.nonzero(amps == 0)):
