@@ -1,8 +1,9 @@
 """The three-party equivalence decision, with certificates and witnesses.
 
-One factorisation per cut gives the cut's singular spectrum and left
-singular vectors, never its right ones: an SVD, or for a wide cut the SVD of
-the small factor of a QR.  A cut whose spectra differ refutes the pair.
+One factorisation per cut, :func:`triequiv.states.cut_svd`, gives the cut's
+singular spectrum and left singular vectors, never its right ones: an SVD, or
+for a wide cut the SVD of the small factor of a QR.  A cut whose spectra
+differ refutes the pair.
 Otherwise each state is put into its frame, the higher-order SVD: the same
 factorisations give the eigenbasis of each one-party reduction, grouped by
 eigenvalue, and the core tensor is the state in those bases.  A local unitary
@@ -32,6 +33,7 @@ from .states import apply_local_unitaries  # noqa: F401
 from .states import (
     Cut,
     TripartiteState,
+    cut_svd,
     random_unitary,
     unfold,
     unitarity_defect,
@@ -144,6 +146,18 @@ class TripartiteDecision:
     spectra: tuple[tuple[tuple[float, ...], ...], ...] | None = None
 
 
+def _mode_products(tensor: np.ndarray, g: list, skip: int | None = None) -> np.ndarray:
+    """(g[0] (x) g[1] (x) g[2]) tensor, square g applied C, A, B; g[skip] left out."""
+    a, b, c = tensor.shape
+    if skip != 2:
+        tensor = tensor @ g[2].T
+    if skip != 0:
+        tensor = (g[0] @ tensor.reshape(a, -1)).reshape(a, b, c)
+    if skip != 1:
+        tensor = g[1] @ tensor
+    return tensor
+
+
 def _refit(source, target, p: int, g: list) -> tuple[np.ndarray, float]:
     """Procrustes optimum of party p's unitary with the other two fixed.
 
@@ -152,14 +166,7 @@ def _refit(source, target, p: int, g: list) -> tuple[np.ndarray, float]:
     factor W Z^dagger of T X^dagger = W S Z^dagger (Schoenemann 1966).
     Returns it and ||T - g_p X||.
     """
-    a, b, c = source.shape
-    if p != 2:
-        source = source @ g[2].T
-    if p != 0:
-        source = (g[0] @ source.reshape(a, -1)).reshape(a, b, c)
-    if p != 1:
-        source = g[1] @ source
-    x, t = unfold(source, p), unfold(target, p)
+    x, t = unfold(_mode_products(source, g, p), p), unfold(target, p)
     w, _, zh = np.linalg.svd(t @ x.conj().T)
     g_p = w @ zh
     return g_p, float(np.linalg.norm(t - g_p @ x))
@@ -173,7 +180,7 @@ def _spectrum_witness(
     The deviation must also exceed the rounding of the factorisations of two
     ``shape`` matrices, (rows + cols) eps sigma_1 each, so that no tolerance
     however small refutes a pair on rounding alone.  Both routes of
-    :func:`_cut_svds` are backward stable.  The SVD returns the exact spectrum
+    :func:`cut_svd` are backward stable.  The SVD returns the exact spectrum
     of a + E.  The QR route returns the exact SVD U S W^dagger of R^t + E_2,
     where a^t + E_1 = Q R is the Householder QR (Higham, Accuracy and
     Stability of Numerical Algorithms, Thm. 19.4) and E_2 the backward error
@@ -575,53 +582,12 @@ def _certify(
     return tuple(g), residual
 
 
-def _cut_svds(*states: TripartiteState) -> list | tuple[list, ...]:
-    """Left singular vectors and singular values of cuts A, B and C of each state.
-
-    Returns a list of three (vecs, spectrum) pairs per state; for one state
-    that list alone, as ``np.atleast_1d`` returns its one array.  A wide cut
-    a, d x c with c >= 2 d and d c >= 512, is factored through the R of
-    a^t = Q R (Chan's R-SVD): a = R^t Q^t and Q^t has orthonormal rows, so
-    the SVD of the d x d factor R^t gives the left vectors and spectrum of
-    a, and the c x d right factor is never formed.  Smaller or squarer cuts
-    take one SVD, where LAPACK's extra call costs more than it saves (the
-    crossover measured with one BLAS thread: QR lost at 8 x 32, 12 x 24 and
-    32 x 32, tied at 16 x 32, won at 2 x 256, 4 x 128, 8 x 64 and 12 x 144).
-    Only a cut with more rows than columns needs the full left factor.  The
-    states' matrices of one cut are stacked, so each cut costs one call per
-    factorisation whatever the number of states: numpy factors a stack one
-    matrix at a time with the same LAPACK routine and workspace, so every
-    state gets the bits it gets alone.  That saves the per-call overhead
-    which dominates up to 16^3; from 24^3 up the stack's larger buffers cost
-    more than it saves (measured with one BLAS thread: 10-35 % more for the
-    cuts of a 24^3 to 64^3 pair), which the phase solve's closed-form start
-    more than repays in the decision.
-    """
-    svds: list[list] = [[] for _ in states]
-    tensors = np.stack([state.amplitudes for state in states])
-    for axis in range(3):
-        # Each state's unfolding along the axis, as states.unfold gives it.
-        a = np.moveaxis(tensors, axis + 1, 1)
-        a = a.reshape(*a.shape[:2], -1)
-        rows, cols = a.shape[1:]
-        if cols >= 2 * rows and rows * cols >= 512:
-            a = np.linalg.qr(a.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-        vecs, spectra, _ = np.linalg.svd(a, full_matrices=rows > cols)
-        for side, v, s in zip(svds, vecs, spectra):
-            side.append((v, s))
-    return svds[0] if len(states) == 1 else tuple(svds)
-
-
-def _state_frame(state: TripartiteState, svds: list) -> StateFrame:
-    """Frame of ``state`` from its :func:`_cut_svds`: bases, eigenvalues, core."""
-    bases = tuple(vecs for vecs, _ in svds)
+def _state_frame(state: TripartiteState, bases: tuple, spectra: tuple) -> StateFrame:
+    """Frame of ``state`` from its :func:`cut_svd` of cuts A, B and C."""
     eigenvalues = tuple(
-        np.concatenate((spectrum**2, np.zeros(vecs.shape[0] - spectrum.size)))
-        for vecs, spectrum in svds
+        np.concatenate((s**2, np.zeros(len(e) - s.size))) for e, s in zip(bases, spectra)
     )
-    e_a, e_b, e_c = (e.conj().T for e in bases)
-    k, m, n = state.dims
-    core = e_b @ (e_a @ (state.amplitudes @ e_c.T).reshape(k, -1)).reshape(k, m, n)
+    core = _mode_products(state.amplitudes, [e.conj().T for e in bases])
     return StateFrame(bases, eigenvalues, core)
 
 
@@ -633,7 +599,7 @@ def decide_equivalence(
 ) -> TripartiteDecision:
     """Full decision: spectra on all three cuts, then one search in the frames.
 
-    :func:`_cut_svds` gives the spectra of cuts A, B and C, compared first;
+    :func:`cut_svd` gives the spectra of cuts A, B and C, compared first;
     a cut whose spectra differ proves inequivalence outright.  Otherwise the
     same factorisations give both frames and :func:`gauge_search` spends at
     most ``gauge_budget`` sweeps looking for local unitaries between them.  A
@@ -649,17 +615,19 @@ def decide_equivalence(
     if gauge_budget < 0:
         raise ValueError(f"gauge_budget must be >= 0, got {gauge_budget}")
 
-    svds = _cut_svds(state, other)
-    spectra = tuple(tuple(tuple(s.tolist()) for _, s in side) for side in svds)
+    amplitudes = np.stack((state.amplitudes, other.amplitudes))
+    vecs, values = zip(*(cut_svd(amplitudes, cut) for cut in Cut))
+    bases, sides = tuple(zip(*vecs)), tuple(zip(*values))
+    spectra = tuple(tuple(tuple(s.tolist()) for s in side) for side in sides)
     size = state.amplitudes.size
-    for cut, d, (_, sa), (_, sb) in zip(Cut, state.dims, *svds):
+    for cut, d, sa, sb in zip(Cut, state.dims, *sides):
         witness = _spectrum_witness(sa, sb, tols.spectra, cut, (d, size // d))
         if witness is not None:
             return TripartiteDecision(
                 verdict=Verdict.INVARIANTS_DIFFER, witness=witness, spectra=spectra
             )
 
-    first, second = (_state_frame(s, c) for s, c in zip((state, other), svds))
+    first, second = map(_state_frame, (state, other), bases, sides)
     factors, residual, obstruction = gauge_search(first, second, gauge_budget, tols)
     if residual <= tols.reconstruction:
         certificate = _certify(state, other, factors, tols)

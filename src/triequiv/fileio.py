@@ -271,10 +271,3 @@ def matrix_from_pairs(obj) -> np.ndarray:
 def report_to_json(report: dict | list) -> str:
     """Stable rendering: sorted keys, two-space indent, trailing newline."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def report_from_json(text: str) -> dict:
-    report = json.loads(text)
-    if not isinstance(report, dict) or "schema" not in report:
-        raise StateFormatError("report document lacks a schema field")
-    return report

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import Cut, TripartiteState, matricize
+from .states import Cut, TripartiteState, cut_svd
 from .tolerances import INVARIANT_TOL, check_tolerance
 
 #: Imaginary residue above which a nominally real invariant is rejected.
@@ -37,12 +37,12 @@ class InvariantVector:
 
 
 def singular_spectrum(state: TripartiteState, cut: Cut) -> np.ndarray:
-    """Descending singular values of the cut's matricization.
+    """Descending singular values of the cut's matricization, from :func:`cut_svd`.
 
     The squares are the eigenvalues of the corresponding reduced density
     operator, so they sum to one for a normalized state.
     """
-    return np.linalg.svd(matricize(state, cut), compute_uv=False)
+    return cut_svd(state.amplitudes[None], cut)[1][0]
 
 
 def power_sums(spectrum, max_order: int) -> tuple[float, ...]:

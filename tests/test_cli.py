@@ -9,7 +9,12 @@ import pytest
 
 from triequiv.cli import _EXIT_FOR_VERDICT, _decision_report, main
 from triequiv.equivalence import Verdict, decide_equivalence
-from triequiv.fileio import matrix_from_pairs, serialize_matrix, serialize_state
+from triequiv.fileio import (
+    load_state,
+    matrix_from_pairs,
+    serialize_matrix,
+    serialize_state,
+)
 from triequiv.states import (
     TripartiteState,
     apply_local_unitaries,
@@ -76,6 +81,43 @@ class TestInvariantsCommand:
         assert main(["invariants", missing, "--nested", "1", "1", "1", "1"]) == 64
         assert "--nested" in capsys.readouterr().err
         assert main(["invariants", missing, "--nested", "2", "1", "1", "1"]) == 65
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (12, 12, 12)])
+    def test_power_sums_and_spectra_are_the_decisions(self, dims, tmp_path, capsys):
+        # Both commands read one cut factorisation (12^3 cuts take its QR
+        # route), so they print the same bits.
+        for seed in range(4):
+            path = tmp_path / f"{seed}.state"
+            path.write_text(serialize_state(random_state(dims, seed)))
+            assert main(["invariants", str(path), "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert main(["check", str(path), str(path), "--json"]) == 0
+            checked = json.loads(capsys.readouterr().out)
+            assert report["power_sums"] == checked["power_sums"]["first"]
+            state = load_state(path)
+            spectra = decide_equivalence(state, state).spectra[0]
+            assert report["spectra"] == {
+                cut: list(spectrum) for cut, spectrum in zip("ABC", spectra)
+            }
+
+    def test_factorisations_come_from_cut_svd(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("svd", "qr"):
+
+            def recorded(*args, name=name, original=getattr(np.linalg, name), **kwargs):
+                calls.append((name, sys._getframe(1).f_code.co_name))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        for dims in ((3, 4, 5), (12, 12, 12)):
+            path = tmp_path / "state.state"
+            path.write_text(serialize_state(random_state(dims, seed=1)))
+            argv = ["invariants", str(path), "--json", "--nested", "2", "1", "2", "2"]
+            assert main(argv) == 0
+        # Three SVDs at 3x4x5; at 12^3 each cut is a QR and the SVD of its R.
+        assert sorted(calls) == sorted(
+            [("svd", "cut_svd")] * 6 + [("qr", "cut_svd")] * 3
+        )
 
 
 class TestCheckCommand:

@@ -15,11 +15,11 @@ from triequiv.equivalence import (
     decide_equivalence,
     gauge_search,
 )
-from triequiv.invariants import singular_spectrum
 from triequiv.states import (
     Cut,
     TripartiteState,
     apply_local_unitaries,
+    cut_svd,
     matricize,
     random_state,
     random_unitary,
@@ -117,7 +117,13 @@ def _with_noise(state, norm, rng):
 
 
 def _frames(*states):
-    return tuple(equivalence._state_frame(s, equivalence._cut_svds(s)) for s in states)
+    frames = []
+    for s in states:
+        svds = [cut_svd(s.amplitudes[None], cut) for cut in Cut]
+        bases = tuple(vecs[0] for vecs, _ in svds)
+        spectra = tuple(values[0] for _, values in svds)
+        frames.append(equivalence._state_frame(s, bases, spectra))
+    return tuple(frames)
 
 
 def _rotated_ghz(d=2, seed=11):
@@ -385,9 +391,8 @@ def test_lu_rotated_pairs_are_never_refuted(dims, trial, rank_deficient, log_spe
     for decision, pair in ((forward, (state, rotated)), (refuted, (state, other))):
         for spectra, s in zip(decision.spectra, pair):
             for cut, spectrum in zip(Cut, spectra):
-                np.testing.assert_allclose(
-                    spectrum, singular_spectrum(s, cut), rtol=0, atol=1e-13
-                )
+                expected = np.linalg.svd(matricize(s, cut), compute_uv=False)
+                np.testing.assert_allclose(spectrum, expected, rtol=0, atol=1e-13)
     witness = refuted.witness
     if witness is not None:
         left, right = (
@@ -441,7 +446,7 @@ def test_procrustes_is_reached_only_through_refit(monkeypatch):
 
     def record_qr(a, *args, **kwargs):
         # One call factors the cut of both states; record each matrix.
-        assert sys._getframe(1).f_code.co_name == "_cut_svds"
+        assert sys._getframe(1).f_code.co_name == "cut_svd"
         *stack, rows, cols = np.shape(a)
         qr_shapes.extend([(rows, cols)] * int(np.prod(stack)))
         return qr(a, *args, **kwargs)
@@ -459,7 +464,7 @@ def test_procrustes_is_reached_only_through_refit(monkeypatch):
     for first, second in pairs:
         _assert_certified(decide_equivalence(first, second), first, second)
     refits = {user for caller, user in callers if caller == "_refit"}
-    assert {caller for caller, _ in callers} == {"_cut_svds", "_refit"}
+    assert {caller for caller, _ in callers} == {"cut_svd", "_refit"}
     assert refits == {"_sweep", "_one_block_start", "_certify"}
     # QR takes the transposed cut, cols x rows: 4x128, 8x64 and 16x32, twice.
     assert sorted(qr_shapes) == sorted([(128, 4), (64, 8), (32, 16)] * 2)
@@ -489,10 +494,11 @@ def test_cut_svds_give_left_vectors_and_spectra(dims, rank):
         state = apply_local_unitaries(
             state, random_unitary(dims[0], rng), np.eye(dims[1]), np.eye(dims[2])
         )
-    for cut, d, (vecs, spectrum) in zip(Cut, dims, equivalence._cut_svds(state)):
+    for cut, d in zip(Cut, dims):
+        (vecs,), (spectrum,) = cut_svd(state.amplitudes[None], cut)
         a = matricize(state, cut)
         np.testing.assert_allclose(
-            spectrum, singular_spectrum(state, cut), rtol=0, atol=1e-13
+            spectrum, np.linalg.svd(a, compute_uv=False), rtol=0, atol=1e-13
         )
         assert vecs.shape == (d, d)
         assert unitarity_defect(vecs) <= 1e-13
@@ -1007,10 +1013,10 @@ def test_stacked_cut_svds_give_each_state_its_own_bits(dims):
     rng = np.random.default_rng(list(dims))
     states = [random_state(dims, rng) for _ in range(3)]
     for count in (2, 3):
-        for state, svds in zip(states, equivalence._cut_svds(*states[:count])):
-            for (vecs, spectrum), (own_vecs, own_spectrum) in zip(
-                svds, equivalence._cut_svds(state)
-            ):
+        stack = np.stack([state.amplitudes for state in states[:count]])
+        for cut in Cut:
+            for state, vecs, spectrum in zip(states, *cut_svd(stack, cut)):
+                (own_vecs,), (own_spectrum,) = cut_svd(state.amplitudes[None], cut)
                 assert vecs.tobytes() == own_vecs.tobytes()
                 assert spectrum.tobytes() == own_spectrum.tobytes()
 

@@ -266,6 +266,12 @@ class TestUnfold:
             expected = np.moveaxis(tensor, axis, 0).reshape(tensor.shape[axis], -1)
             assert np.array_equal(unfold(tensor, axis), expected)
 
+    def test_a_stack_unfolds_each_tensor(self):
+        stack = np.arange(120, dtype=complex).reshape(2, 3, 4, 5)
+        for axis in range(3):
+            expected = np.stack([unfold(tensor, axis) for tensor in stack])
+            assert np.array_equal(unfold(stack, axis), expected)
+
     def test_matricize_is_contiguous_for_a_permuted_state(self):
         amps = random_state((2, 3, 4), seed=5).amplitudes.transpose(2, 0, 1)
         state = TripartiteState(amps)
