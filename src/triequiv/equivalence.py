@@ -346,10 +346,8 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
         return phases, None
     s, p, q = np.nonzero(significant)
     strength = weight[s, p, q]
-    strongest = np.argsort(-strength)
-    if np.any(np.diff(strength[strongest]) == 0):
-        # Tied entries keep index order, so the same entry fixes each factor.
-        strongest = np.argsort(-strength, kind="stable")
+    # Tied entries keep index order, so the same entry fixes each factor.
+    strongest = np.argsort(-strength, kind="stable")
     s, p, q, strength = s[strongest], p[strongest], q[strongest], strength[strongest]
     # One node per factor: beta_s is node s, phi_p node r + p, psi_q node r + m + q.
     nodes = np.stack((s, r + p, r + m + q))
@@ -471,13 +469,27 @@ def _obstruction(
 ) -> PhaseObstruction | None:
     """The cycle as an obstruction, if its holonomy exceeds what noise allows.
 
-    A map within tau = ``tols.reconstruction`` perturbs each reduction by at
-    most 2 tau + tau^2, which turns the eigenvectors of party p the cycle
-    touches by at most 2 (2 tau + tau^2) / delta_p (Davis-Kahan), delta_p
-    their smallest eigenvalue gap.  In the frames the map is then diagonal
-    phases up to a core error beta = tau + sum_p sqrt(d_p) 2 (2 tau + tau^2)
-    / delta_p, which moves the phase of core entry e by at most
-    2 beta / |core_e|.
+    Let psi' = U psi + e, U = U_A (x) U_B (x) U_C and ||e|| <= tau =
+    ``tols.reconstruction`` (rounding is not counted: a tau below it
+    certifies no pair anyway).  The bound on the holonomy of such a pair:
+
+    1. Each reduction rho'_p differs from U_p rho_p U_p^dagger by the partial
+       trace of |e><phi| + |phi><e| + |e><e|, phi = U psi, whose trace norm,
+       and so operator norm, is at most eps = 2 tau + tau^2.
+    2. Davis-Kahan with the unperturbed gap (Yu, Wang & Samworth, Biometrika
+       102, 315, 2015): an eigenvector of party p whose eigenvalue lies
+       delta_p from the rest of the first frame's spectrum turns by
+       sin theta <= 2 eps / delta_p, so up to a phase it moves by at most
+       sqrt(2) 2 eps / delta_p <= sqrt(d_p) 2 eps / delta_p; delta_p is the
+       smallest gap the cycle touches, infinite for d_p = 1.
+    3. Entry e = (s, p, q) of the second core is <v'_s v'_p v'_q|psi'>; it is
+       within tau of <v'_s v'_p v'_q|phi>, and that, telescoping the product,
+       within the three vectors' moves of core_e times the conjugate phases:
+       the core error is at most beta = tau + sum_p sqrt(d_p) 2 eps / delta_p.
+    4. Its phase is then within arcsin(beta / |core_e|) <= 2 beta / |core_e|
+       of the phase product, and the holonomy within the sum of these over
+       the cycle, weighted by |y_e|.  Step 4 needs beta < |core_e|: where
+       1 <= beta / |core_e| < pi / 2 an entry's phase may move by up to pi.
     """
     index, coefficients, holonomy = cycle
     tau = tols.reconstruction

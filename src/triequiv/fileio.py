@@ -12,7 +12,10 @@ line, then one record per amplitude with 1-based indices::
 Unlisted entries are zero.  Matrix files are identical except that records
 carry two indices (``dims: R C`` and ``row col re im``).  Values are written
 with 17 significant digits, which round-trips IEEE doubles exactly; values
-that are not finite are rejected.
+that are not finite are rejected.  Of several faults, the first line-local one
+by line is reported (a header or record wrong in itself or in its place);
+without one, a missing ``dims:`` line, then the first out-of-range or repeated
+index.
 """
 
 from __future__ import annotations
@@ -36,14 +39,12 @@ class StateFormatError(ValueError):
 
 
 def _scan(text: str, source: str, index_count: int):
-    """Read a document into its amplitude array.
+    """Read a well-formed document into its amplitude array, in bulk.
 
-    Every line is split into fields in bulk; only the few lines holding a
-    colon can be ``label:`` or ``dims:`` headers, and only those are read one
-    by one.  :func:`_convert` turns the record fields into arrays and
-    :func:`_fill` checks and scatters them.  Faults are reported in line
-    order, except that range and duplicate checks follow every other check,
-    so a record that does not convert wins over a later misplaced header.
+    Well formed: exactly one ``dims:`` line of positive integers, before every
+    record; at most one ``label:`` line; records of ``index_count`` integers
+    and two finite floats, converted column by column.  Any other document
+    goes to :func:`_first_fault`; :func:`_fill` checks range and duplicates.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -54,75 +55,24 @@ def _scan(text: str, source: str, index_count: int):
         for row, line in enumerate(lines)
         if ":" in line and fields[row][0].startswith(("label:", "dims:"))
     ]
-    has_label = False
-    dims = None
-    dims_row = fault_row = len(lines)
-    fault = None
-    for row in headers:
-        line = lines[row].strip()
-        lineno = row + 1
-        if line.startswith("label:"):
-            if has_label:
-                fault = f"{source}:{lineno}: duplicate label line"
-            has_label = True
-        elif dims is not None:
-            fault = f"{source}:{lineno}: duplicate dims line"
-        elif len(tokens := line[len("dims:"):].split()) != index_count:
-            fault = (
-                f"{source}:{lineno}: dims needs {index_count} integers, "
-                f"got {len(tokens)}"
-            )
-        else:
-            try:
-                dims = tuple(int(t) for t in tokens)
-            except ValueError as exc:
-                fault = f"{source}:{lineno}: bad dims: {exc}"
-            else:
-                dims_row = row
-                if min(dims) < 1:
-                    fault = f"{source}:{lineno}: dims must be positive"
-        if fault is not None:
-            fault_row = row
-            break
+    dims_rows = [row for row in headers if fields[row][0].startswith("dims:")]
     for row in headers:
         fields[row] = []
-    before = fields[:fault_row]
-    records = list(filter(None, before))
-    linenos = np.flatnonzero(np.fromiter(map(len, before), dtype=np.intp)) + 1
-    if records and linenos[0] - 1 < dims_row:
-        raise StateFormatError(
-            f"{source}:{linenos[0]}: record appears before the dims line"
-        )
-    indices, values = _convert(records, linenos, source, index_count)
-    if fault is not None:
-        raise StateFormatError(fault)
-    if dims is None:
-        raise StateFormatError(f"{source}: missing dims line")
-    return _fill(dims, indices, values, linenos, source)
-
-
-def _convert(fields, linenos, source: str, index_count: int):
-    """Record fields as (indices, values), or an error naming the first bad line.
-
-    ``indices`` is an (index_count, records) array of the 1-based indices,
-    not yet checked against the dims.  The fields are converted column by
-    column with ``int`` and ``float``; only when that fails, or gives a value
-    that is not finite, does a walk over the records find the first bad one.
-    """
-    width = index_count + 2
     lengths = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
-    wrong = np.flatnonzero(lengths != width)
-    if wrong.size:
-        first = int(wrong[0])
-        _convert(fields[:first], linenos[:first], source, index_count)
-        raise StateFormatError(
-            f"{source}:{linenos[first]}: expected {index_count} indices plus re im, "
-            f"got {lengths[first]} fields"
-        )
+    linenos = np.flatnonzero(lengths) + 1
+    width = index_count + 2
+    if (
+        len(dims_rows) != 1
+        or len(headers) > 2
+        or lengths[: dims_rows[0]].any()
+        or (lengths[linenos - 1] != width).any()
+    ):
+        _first_fault(lines, source, index_count)
     flat = list(chain.from_iterable(fields))
     columns = [flat[c::width] for c in range(index_count)]
-    parts = np.empty((len(fields), 2))
+    parts = np.empty((linenos.size, 2))
     try:
+        dims = tuple(map(int, lines[dims_rows[0]].split(":", 1)[1].split()))
         try:
             indices = np.array(columns, dtype=np.int64)  # int() on each token
         except OverflowError:
@@ -131,22 +81,60 @@ def _convert(fields, linenos, source: str, index_count: int):
         parts[:, 0] = list(map(float, flat[index_count::width]))
         parts[:, 1] = list(map(float, flat[index_count + 1 :: width]))
     except ValueError:
-        parts[:] = np.nan  # the walk below names the record
-    if np.isfinite(parts).all():
-        return indices, parts.view(np.complex128)[:, 0]
-    for lineno, tokens in zip(linenos, fields):
-        try:
-            for token in tokens[:index_count]:
-                int(token)
-            value = complex(float(tokens[index_count]), float(tokens[index_count + 1]))
-        except ValueError as exc:
-            raise StateFormatError(f"{source}:{lineno}: bad record: {exc}") from None
-        if not np.isfinite(value):
+        dims = ()  # a token does not convert; _first_fault names it
+    if len(dims) != index_count or min(dims) < 1 or not np.isfinite(parts).all():
+        _first_fault(lines, source, index_count)
+    return _fill(dims, indices, parts.view(np.complex128)[:, 0], linenos, source)
+
+
+def _first_fault(lines, source: str, index_count: int):
+    """Raise the first line-local fault, else the missing ``dims:`` line."""
+    has_label = has_dims = False
+    for lineno, line in enumerate(lines, 1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        where = f"{source}:{lineno}"
+        if tokens[0].startswith("label:"):
+            if has_label:
+                raise StateFormatError(f"{where}: duplicate label line")
+            has_label = True
+        elif tokens[0].startswith("dims:"):
+            if has_dims:
+                raise StateFormatError(f"{where}: duplicate dims line")
+            dims = line.split(":", 1)[1].split()
+            if len(dims) != index_count:
+                raise StateFormatError(
+                    f"{where}: dims needs {index_count} integers, got {len(dims)}"
+                )
+            try:
+                positive = min(map(int, dims)) >= 1
+            except ValueError as exc:
+                raise StateFormatError(f"{where}: bad dims: {exc}") from None
+            if not positive:
+                raise StateFormatError(f"{where}: dims must be positive")
+            has_dims = True
+        elif not has_dims:
+            raise StateFormatError(f"{where}: record appears before the dims line")
+        elif len(tokens) != index_count + 2:
             raise StateFormatError(
-                f"{source}:{lineno}: bad record: amplitude "
-                f"{tokens[index_count]} {tokens[index_count + 1]} is not finite"
+                f"{where}: expected {index_count} indices plus re im, "
+                f"got {len(tokens)} fields"
             )
-    raise AssertionError("a record failed to convert but none was found")
+        else:
+            *index, re, im = tokens
+            try:
+                list(map(int, index))
+                value = complex(float(re), float(im))
+            except ValueError as exc:
+                raise StateFormatError(f"{where}: bad record: {exc}") from None
+            if not np.isfinite(value):
+                raise StateFormatError(
+                    f"{where}: bad record: amplitude {re} {im} is not finite"
+                )
+    if has_dims:
+        raise AssertionError("the bulk read rejected a well-formed document")
+    raise StateFormatError(f"{source}: missing dims line")
 
 
 def _fill(dims, indices, values, linenos, source: str) -> np.ndarray:
@@ -245,6 +233,7 @@ def parse_matrix(text: str, source: str = "<string>") -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
+    """Read a matrix file, as :func:`parse_matrix` reads its text."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_matrix(handle.read(), source=str(path))
 

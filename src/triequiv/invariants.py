@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import Cut, TripartiteState, cut_svd
+from .states import Cut, TripartiteState, cut_svd, reduced_density
 from .tolerances import INVARIANT_TOL, check_tolerance
 
 #: Imaginary residue above which a nominally real invariant is rejected.
@@ -99,12 +99,10 @@ def nested_invariant(
     ``beta`` before the final trace.
     """
     check_nested(outer, inner, alpha, beta)
-    a = state.amplitudes
-    # Tr_inner |psi><psi| as a (d1, d2, d1, d2) tensor, in KMN * d_inner memory.
-    rho = np.tensordot(a, a.conj(), axes=(inner - 1, inner - 1))
-
-    d1, d2 = rho.shape[0], rho.shape[1]
-    mat = np.linalg.matrix_power(rho.reshape(d1 * d2, d1 * d2), alpha)
+    # Tr_inner |psi><psi| on the other two parties, in their order.
+    rho = reduced_density(state, tuple(Cut)[inner - 1])
+    d1, d2 = (d for party, d in enumerate(state.dims, 1) if party != inner)
+    mat = np.linalg.matrix_power(rho, alpha)
     axis = sorted({1, 2, 3} - {inner}).index(outer)
     reduced = np.trace(mat.reshape(d1, d2, d1, d2), axis1=axis, axis2=axis + 2)
 

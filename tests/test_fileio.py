@@ -240,6 +240,41 @@ GOLDEN_ERRORS = {
 }
 
 
+def _faulty_line(kind, lines, row, dims, data):
+    """Record line ``row`` of a serialised state document, with one fault of ``kind``."""
+    tokens = lines[row].split()
+    if kind == "duplicate-label":
+        return "label: q"
+    if kind == "duplicate-dims":
+        return lines[1]
+    if kind == "duplicate-index":
+        return " ".join(lines[2].split()[:3] + tokens[3:])
+    if kind == "field-count":
+        return " ".join(data.draw(st.sampled_from([tokens[:4], tokens + ["0"]])))
+    if kind == "out-of-range":
+        axis = data.draw(st.integers(0, 2))
+        positions, values = [axis], [0, -1, dims[axis] + 1, 10**20]
+    else:
+        positions, values = {
+            "bad-integer": ([0, 1, 2], ["1.0", "x", "2e0"]),
+            "bad-float": ([3, 4], ["1,5", "y", "0..1"]),
+            "not-finite": ([3, 4], ["nan", "-inf", "1e400"]),
+        }[kind]
+    tokens[data.draw(st.sampled_from(positions))] = str(data.draw(st.sampled_from(values)))
+    return " ".join(tokens)
+
+
+INDEX_FAULTS = ["duplicate-index", "out-of-range"]
+FAULT_KINDS = INDEX_FAULTS + [
+    "bad-float",
+    "bad-integer",
+    "duplicate-dims",
+    "duplicate-label",
+    "field-count",
+    "not-finite",
+]
+
+
 def _exact_records(amps: np.ndarray) -> str:
     """A state document listing every entry of ``amps`` with exact values."""
     lines = ["dims: " + " ".join(map(str, amps.shape))]
@@ -315,6 +350,41 @@ class TestErrorMessages:
         with pytest.raises(StateFormatError) as err:
             parse_matrix(text, source="m.txt")
         assert str(err.value) == message
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(2, 4)] * 3),
+        kinds=st.lists(st.sampled_from(FAULT_KINDS), min_size=2, max_size=2, unique=True),
+        data=st.data(),
+    )
+    def test_two_faults_report_the_first_by_the_rule(self, dims, kinds, data):
+        """Of two faults, the first line-local one by line wins, else the first by line.
+
+        Each fault alone is the oracle for its own message.  Faults replace
+        whole record lines, so line numbers never shift; the first record is
+        never touched, and a duplicate index repeats it.
+        """
+        lines = serialize_state(random_state(dims, seed=sum(dims)), label="p").splitlines()
+        rows = data.draw(
+            st.lists(st.integers(3, len(lines) - 1), min_size=2, max_size=2, unique=True)
+        )
+        faulty = [
+            (row, _faulty_line(kind, lines, row, dims, data)) for kind, row in zip(kinds, rows)
+        ]
+
+        def message(*faults):
+            text = lines.copy()
+            for row, line in faults:
+                text[row] = line
+            with pytest.raises(StateFormatError) as err:
+                parse_state("\n".join(text) + "\n", strict=True, source="s.state")
+            return str(err.value)
+
+        alone = {row: message((row, line)) for row, line in faulty}
+        local = [row for kind, row in zip(kinds, rows) if kind not in INDEX_FAULTS]
+        first = min(local) if local else min(rows)
+        assert alone[first].startswith(f"s.state:{first + 1}: ")
+        assert message(*faulty) == alone[first]
 
 
 AWKWARD = [0.0, -0.0, 0.1, 1 / 3, -np.pi, 1e-300, 2**-52, 1 + 2**-52, -5e-324, 1e300]
