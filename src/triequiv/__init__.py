@@ -28,8 +28,6 @@ from .fileio import (
     serialize_state,
 )
 from .invariants import (
-    InvariantVector,
-    invariants_equal,
     nested_invariant,
     power_sum_invariants,
     singular_spectrum,
@@ -38,7 +36,6 @@ from .realign import (
     KronFactorization,
     is_unitarily_decomposable,
     kron_factorize,
-    numerical_rank,
     realign,
     unvec,
     vec,
@@ -62,7 +59,6 @@ __all__ = [
     "CertificateError",
     "Cut",
     "DEFAULT_TOLERANCES",
-    "InvariantVector",
     "KronFactorization",
     "PhaseObstruction",
     "SpectrumWitness",
@@ -75,14 +71,12 @@ __all__ = [
     "bipartite_equivalent",
     "decide_equivalence",
     "gauge_search",
-    "invariants_equal",
     "is_unitarily_decomposable",
     "kron_factorize",
     "load_matrix",
     "load_state",
     "matricize",
     "nested_invariant",
-    "numerical_rank",
     "parse_matrix",
     "parse_state",
     "power_sum_invariants",

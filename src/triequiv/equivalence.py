@@ -99,10 +99,10 @@ class PhaseObstruction:
     holonomy wrap(sum_e y_e theta_e) of the phase ratios theta_e of the two
     cores does not depend on the phases the two frames' eigenvectors carry.
     A map within the reconstruction tolerance moves each theta_e by at most
-    2 beta / |core_e| from a product of per-party phases, where beta bounds
-    the core error it leaves (Davis-Kahan, from the reduction gaps), so its
-    cycles stay within ``bound`` = sum_e |y_e| 2 beta / |core_e|; this one's
-    ``holonomy`` exceeds it.
+    2 beta / |core_e| (by pi where beta >= |core_e|) from a product of
+    per-party phases, where beta bounds the core error it leaves (Davis-Kahan,
+    from the reduction gaps), so its cycles stay within ``bound``, the sum of
+    these weighted by |y_e|; this one's ``holonomy`` exceeds it.
     """
 
     entries: tuple[tuple[int, int, int], ...]
@@ -486,10 +486,9 @@ def _obstruction(
        within tau of <v'_s v'_p v'_q|phi>, and that, telescoping the product,
        within the three vectors' moves of core_e times the conjugate phases:
        the core error is at most beta = tau + sum_p sqrt(d_p) 2 eps / delta_p.
-    4. Its phase is then within arcsin(beta / |core_e|) <= 2 beta / |core_e|
-       of the phase product, and the holonomy within the sum of these over
-       the cycle, weighted by |y_e|.  Step 4 needs beta < |core_e|: where
-       1 <= beta / |core_e| < pi / 2 an entry's phase may move by up to pi.
+    4. With x_e = beta / |core_e| < 1, its phase is within arcsin(x_e) <= 2 x_e
+       of the phase product; where x_e >= 1 it may move by up to pi.  The
+       holonomy is within the sum of these over the cycle, weighted by |y_e|.
     """
     index, coefficients, holonomy = cycle
     tau = tols.reconstruction
@@ -499,8 +498,8 @@ def _obstruction(
         gap = np.minimum(np.append(step, np.inf), np.insert(step, 0, np.inf))
         with np.errstate(divide="ignore"):
             beta += np.sqrt(vals.size) * 2 * (2 * tau + tau**2) / gap[touched].min()
-    weight = np.abs(frame.core[tuple(index.T)])
-    bound = float(np.sum(np.abs(coefficients) * 2 * beta / weight))
+    x = beta / np.abs(frame.core[tuple(index.T)])
+    bound = float(np.sum(np.abs(coefficients) * np.where(x < 1, 2 * x, np.pi)))
     if not abs(holonomy) > bound:
         return None
     return PhaseObstruction(

@@ -251,12 +251,6 @@ def matrix_pairs(matrix: np.ndarray) -> list[list[list[float]]]:
     return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
 
 
-def matrix_from_pairs(obj) -> np.ndarray:
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in obj], dtype=np.complex128
-    )
-
-
 def report_to_json(report: dict | list) -> str:
     """Stable rendering: sorted keys, two-space indent, trailing newline."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"

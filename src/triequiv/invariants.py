@@ -2,38 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .states import Cut, TripartiteState, cut_svd, reduced_density
-from .tolerances import INVARIANT_TOL, check_tolerance
 
 #: Imaginary residue above which a nominally real invariant is rejected.
 _IMAG_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class InvariantVector:
-    """Power sums Tr(rho^alpha), alpha = 1..max_order, for one cut's reduction."""
-
-    cut: Cut
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("invariant vector must hold at least order 1")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    @property
-    def max_order(self) -> int:
-        return len(self.values)
-
-    def value(self, alpha: int) -> float:
-        """Power sum of order ``alpha`` (1-based)."""
-        if not 1 <= alpha <= self.max_order:
-            raise ValueError(f"order {alpha} outside 1..{self.max_order}")
-        return self.values[alpha - 1]
 
 
 def singular_spectrum(state: TripartiteState, cut: Cut) -> np.ndarray:
@@ -52,7 +26,7 @@ def power_sums(spectrum, max_order: int) -> tuple[float, ...]:
 
 def power_sum_invariants(
     state: TripartiteState, cut: Cut, max_order: int | None = None
-) -> InvariantVector:
+) -> tuple[float, ...]:
     """Power sums Tr(rho^alpha) of the cut's reduction, alpha = 1..max_order.
 
     Defaults to max_order = min(K, M, N).
@@ -61,20 +35,7 @@ def power_sum_invariants(
         max_order = min(state.dims)
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    values = power_sums(singular_spectrum(state, cut), max_order)
-    return InvariantVector(cut=cut, values=values)
-
-
-def invariants_equal(
-    v: InvariantVector, w: InvariantVector, tol: float = INVARIANT_TOL
-) -> bool:
-    """True when two invariant vectors of the same cut agree entrywise within tol."""
-    check_tolerance("tol", tol)
-    if v.cut is not w.cut:
-        raise ValueError(f"cut mismatch: {v.cut} vs {w.cut}")
-    if v.max_order != w.max_order:
-        raise ValueError(f"length mismatch: {v.max_order} vs {w.max_order}")
-    return max(abs(a - b) for a, b in zip(v.values, w.values)) <= tol
+    return power_sums(singular_spectrum(state, cut), max_order)
 
 
 def check_nested(outer: int, inner: int, alpha: int, beta: int) -> None:

@@ -1,4 +1,4 @@
-"""Realignment map, numerical rank, and Kronecker-product factorization.
+"""Realignment map and Kronecker-product factorization.
 
 A matrix U on an (m*n)-dimensional product space is a Kronecker product
 X (x) Y exactly when its realignment has rank one; the best rank-one
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import unitarity_defect
-from .tolerances import DEFAULT_TOLERANCES, RANK1_TOL, RANK_REL_TOL, check_tolerance
+from .tolerances import DEFAULT_TOLERANCES, RANK1_TOL, check_tolerance
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -46,17 +46,6 @@ def realign(z: np.ndarray, m: int, n: int) -> np.ndarray:
         raise ValueError(f"expected shape ({m * n}, {m * n}), got {z.shape}")
     blocks = z.reshape(m, n, m, n)  # [i, a, j, b] = Z[i*n + a, j*n + b]
     return np.ascontiguousarray(blocks.transpose(2, 0, 3, 1).reshape(m * m, n * n))
-
-
-def numerical_rank(a: np.ndarray) -> int:
-    """Count singular values above ``RANK_REL_TOL`` times the largest one.
-
-    The zero matrix has rank 0.
-    """
-    s = np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,8 @@ class TripartiteState:
             raise ValueError(f"all dimensions must be positive, got {amps.shape}")
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes are not finite")
-        sq_norm = float(np.sum(np.abs(amps) ** 2))
+        with np.errstate(over="ignore"):
+            sq_norm = float(np.sum(np.abs(amps) ** 2))
         if abs(sq_norm - 1.0) > NORM_TOL:
             raise ValueError(
                 f"state is not normalized: sum |a|^2 = {sq_norm!r} "

@@ -12,12 +12,6 @@ NORM_TOL = 1e-12
 #: Kronecker product.
 RANK1_TOL = 1e-8
 
-#: Default absolute tolerance when comparing invariant vectors.
-INVARIANT_TOL = 1e-9
-
-#: Relative singular-value threshold for numerical rank.
-RANK_REL_TOL = 1e-8
-
 
 def check_tolerance(name: str, value: float) -> float:
     """Return ``value`` if it is finite and > 0, else raise ``ValueError``.

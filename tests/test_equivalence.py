@@ -749,6 +749,26 @@ def test_conjugate_pairs_stop_on_an_obstruction(dims, seed):
     assert obstruction.bound >= np.sum(np.abs(y) * 2e-9 / weight)
 
 
+@pytest.mark.parametrize("weak", [1.0, 0.07])
+def test_obstruction_bound_on_a_weak_entry(weak):
+    # beta is about 0.086 here; at |core_e| = 0.07 it exceeds the entry, whose
+    # phase may then move by up to pi, so a holonomy of 3.05 is no obstruction.
+    core = np.ones((2, 2, 2), dtype=complex)
+    core[1, 1, 1] = weak
+    spectrum = np.array([0.6, 0.4])
+    frame = equivalence.StateFrame((np.eye(2),) * 3, (spectrum,) * 3, core)
+    index = np.array([(0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 0)])
+    y = np.array([1, 1, -1, -1])
+    _assert_is_cycle(index, y, (2, 2, 2))
+    tols = Tolerances(reconstruction=1e-3)
+    obstruction = equivalence._obstruction(frame, (index, y, 3.05), tols)
+    if weak < 1:
+        assert obstruction is None
+    else:
+        assert obstruction.holonomy == 3.05
+        assert obstruction.bound < 3.05
+
+
 def test_certify_maps_rows_without_a_kronecker_product():
     # np.kron(U_B, U_C) alone would take 81 MiB at 2x48x48.
     rng = np.random.default_rng(3)

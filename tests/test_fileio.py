@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from triequiv.fileio import (
     StateFormatError,
     load_state,
-    matrix_from_pairs,
     matrix_pairs,
     parse_matrix,
     parse_state,
@@ -490,7 +489,7 @@ class TestReports:
 
     def test_matrix_pairs_round_trip(self):
         mat = random_unitary(3, seed=9)
-        assert np.array_equal(matrix_from_pairs(matrix_pairs(mat)), mat)
+        assert np.array_equal(np.array(matrix_pairs(mat)).view(complex)[..., 0], mat)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 100), (100, 1), (4, 25), (10, 10)])
     def test_matrix_pairs_match_the_loop_oracle(self, shape):

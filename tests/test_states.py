@@ -39,6 +39,11 @@ class TestTripartiteState:
         with pytest.raises(ValueError, match="not finite"):
             TripartiteState(np.array([1, bad]).reshape(2, 1, 1))
 
+    def test_rejects_overflowing_norm(self):
+        # sum |a|^2 overflows to inf: rejected without an overflow warning.
+        with pytest.raises(ValueError, match="not normalized"):
+            TripartiteState(np.full((1, 1, 2), 1e200))
+
     def test_from_unnormalized(self):
         state = TripartiteState.from_unnormalized(np.ones((2, 2, 2)))
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-15
@@ -246,7 +251,7 @@ class TestRandomGenerators:
         b = random_state((2, 2, 2), seed=2)
         va = power_sum_invariants(a, Cut.A)
         vb = power_sum_invariants(b, Cut.A)
-        assert max(abs(x - y) for x, y in zip(va.values, vb.values)) > 1e-6
+        assert max(abs(x - y) for x, y in zip(va, vb)) > 1e-6
 
     def test_random_unitary_is_unitary(self):
         for n in (2, 3, 4, 6):
