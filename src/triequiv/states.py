@@ -1,15 +1,21 @@
 """Pure tripartite states, their matricizations, and local-unitary action.
 
-:func:`cut_svd` is the one factorisation of a state's cuts."""
+:func:`cut_svd` is the one factorisation of a state's cuts: one ``eigh`` of
+each cut's Gram matrix, the party's reduction, with a QR/SVD route for the
+cuts whose Gram spectrum cannot vouch for its own accuracy, and
+:func:`cut_rounding` the rounding allowance of the spectra it returns."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .tolerances import DEFAULT_TOLERANCES, NORM_TOL
+
+_EPS = np.finfo(float).eps
 
 
 class Cut(Enum):
@@ -119,27 +125,77 @@ def cut_svd(amplitudes: np.ndarray, cut: Cut) -> tuple[np.ndarray, np.ndarray]:
     The one factorisation of a state's cuts.  ``amplitudes`` stacks the
     states' (K, M, N) tensors along a first axis; returns two stacks, one
     entry per state: the d x d left vectors and the descending spectrum.
-    A wide cut a, d x c with c >= 2 d and d c >= 512, is factored through
-    the R of a^t = Q R (Chan's R-SVD): a = R^t Q^t and Q^t has orthonormal
-    rows, so the SVD of the d x d factor R^t gives the left vectors and
-    spectrum of a, and the c x d right factor is never formed.  Smaller or squarer cuts
-    take one SVD, where LAPACK's extra call costs more than it saves (the
-    crossover measured with one BLAS thread: QR lost at 8 x 32, 12 x 24 and
-    32 x 32, tied at 16 x 32, won at 2 x 256, 4 x 128, 8 x 64 and 12 x 144).
-    Only a cut with more rows than columns needs the full left factor.  The
-    states' matrices are stacked into one call per factorisation: numpy
-    factors a stack one matrix at a time with the same LAPACK routine and
-    workspace, so every state gets the bits it gets alone.  That saves the
-    per-call overhead up to 16^3; from 24^3 up the larger buffers cost
-    10-35 % more (one BLAS thread), which the decision's closed-form phase
-    start more than repays.
+    The Gram matrix a a^dagger of the cut a, d x c, is party p's reduction;
+    its ``eigh``, reversed, gives the left vectors and sigma_i =
+    sqrt(max(lambda_i, 0)).  A state whose Gram spectrum fails
+    :func:`gram_vouches`, as every cut with more rows than columns does,
+    takes the QR/SVD route instead.  The amplitudes alone decide the route,
+    so the spectra and power sums that callers print depend on no tolerance.
+    On that route a wide cut, c >= 2 d and d c >= 512, takes the SVD of the
+    d x d factor R^t of a^t = Q R (Chan's R-SVD; with one BLAS thread QR
+    lost at 8 x 32, 12 x 24 and 32 x 32, tied at 16 x 32, won at 2 x 256,
+    4 x 128, 8 x 64 and 12 x 144), any other cut one SVD, full only for a
+    cut with more rows than columns.  Numpy factors a stack one matrix at a
+    time with the same LAPACK routine and workspace, so every state gets the
+    bits it gets alone.
     """
     a = unfold(amplitudes, tuple(Cut).index(cut))
-    rows, cols = a.shape[1:]
+    shape = rows, cols = a.shape[1:]
+    if rows <= cols:
+        values, vecs = np.linalg.eigh(a @ a.conj().swapaxes(-1, -2))
+        vecs, spectra = vecs[..., ::-1], np.sqrt(np.maximum(values[..., ::-1], 0.0))
+        ends = zip(spectra[:, 0].tolist(), spectra[:, -1].tolist())
+        fall = [i for i, end in enumerate(ends) if not gram_vouches(*end, shape)]
+        if not fall:
+            return vecs, spectra
+        a = a[fall]
     if cols >= 2 * rows and rows * cols >= 512:
         a = np.linalg.qr(a.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-    vecs, spectra, _ = np.linalg.svd(a, full_matrices=rows > cols)
+    left, values, _ = np.linalg.svd(a, full_matrices=rows > cols)
+    if rows > cols:
+        return left, values
+    vecs[fall], spectra[fall] = left, values
     return vecs, spectra
+
+
+def gram_vouches(top: float, low: float, shape: tuple[int, int]) -> bool:
+    """Whether a cut's Gram spectrum, sigma_1 = ``top`` down to ``low``, is kept.
+
+    True when the cut has no more rows than columns and the allowance of
+    :func:`gram_rounding` at ``low`` is within ``DEFAULT_TOLERANCES.spectra``,
+    so that at the default tolerance no refutation is lost to the squaring.
+    On Python floats: numpy calls on one value per state cost more than the
+    test saves.
+    """
+    delta = sum(shape) * _EPS * top * top
+    return shape[0] <= shape[1] and delta <= DEFAULT_TOLERANCES.spectra * max(
+        low, math.sqrt(delta)
+    )
+
+
+def cut_rounding(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray | float:
+    """Rounding allowance of a :func:`cut_svd` spectrum, per index or for all.
+
+    Its route is read from the spectrum: one that took the Gram route passes
+    :func:`gram_vouches` on the same floats and gets :func:`gram_rounding`;
+    one that fell back and passes anyway gets it too, as it is never smaller
+    than the QR/SVD route's (rows + cols) eps sigma_1, which the rest get.
+    """
+    top = float(spectrum[0])
+    if gram_vouches(top, float(spectrum[-1]), shape):
+        return gram_rounding(spectrum, shape)
+    return sum(shape) * _EPS * top
+
+
+def gram_rounding(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Per-index allowance min(sqrt(delta), delta / sigma'_i) of a Gram spectrum.
+
+    delta = (rows + cols) eps sigma'_1^2 bounds the error of each Gram
+    eigenvalue of a ``shape`` cut; the derivation is in
+    :func:`triequiv.equivalence._spectrum_witness`.
+    """
+    delta = sum(shape) * _EPS * float(spectrum[0]) ** 2
+    return delta / np.maximum(spectrum, math.sqrt(delta))
 
 
 def reduced_density(state: TripartiteState, cut: Cut) -> np.ndarray:

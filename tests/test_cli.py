@@ -79,8 +79,8 @@ class TestInvariantsCommand:
 
     @pytest.mark.parametrize("dims", [(8, 8, 8), (12, 12, 12)])
     def test_power_sums_and_spectra_are_the_decisions(self, dims, tmp_path, capsys):
-        # Both commands read one cut factorisation (12^3 cuts take its QR
-        # route), so they print the same bits.
+        # Both commands read one cut factorisation, so they print the same
+        # bits.
         for seed in range(4):
             path = tmp_path / f"{seed}.state"
             path.write_text(serialize_state(random_state(dims, seed)))
@@ -97,21 +97,27 @@ class TestInvariantsCommand:
 
     def test_factorisations_come_from_cut_svd(self, tmp_path, monkeypatch):
         calls = []
-        for name in ("svd", "qr"):
+        for name in ("eigh", "svd", "qr"):
 
             def recorded(*args, name=name, original=getattr(np.linalg, name), **kwargs):
                 calls.append((name, sys._getframe(1).f_code.co_name))
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recorded)
-        for dims in ((3, 4, 5), (12, 12, 12)):
+        states = (
+            random_state((3, 4, 5), seed=1),
+            random_state((12, 12, 12), seed=1),
+            TripartiteState(np.ones((12, 12, 12)) / 12**1.5),
+        )
+        for state in states:
             path = tmp_path / "state.state"
-            path.write_text(serialize_state(random_state(dims, seed=1)))
+            path.write_text(serialize_state(state))
             argv = ["invariants", str(path), "--json", "--nested", "2", "1", "2", "2"]
             assert main(argv) == 0
-        # Three SVDs at 3x4x5; at 12^3 each cut is a QR and the SVD of its R.
+        # One eigh of each cut's Gram matrix.  The product state's cuts have
+        # rank 1, so each falls back to the QR route: a QR and the SVD of its R.
         assert sorted(calls) == sorted(
-            [("svd", "cut_svd")] * 6 + [("qr", "cut_svd")] * 3
+            [("eigh", "cut_svd")] * 9 + [("svd", "cut_svd"), ("qr", "cut_svd")] * 3
         )
 
 
@@ -479,7 +485,7 @@ class TestRandomCommand:
 
 
 class TestFactorisationCounts:
-    """Each state is decomposed once: one SVD per cut, shared by every layer.
+    """Each state is decomposed once: one eigh per cut, shared by every layer.
 
     The counts are of factored matrices, not calls: a stacked call counts
     each matrix of the stack.
@@ -506,11 +512,11 @@ class TestFactorisationCounts:
     def test_decision(self, pair, counts):
         decide_equivalence(*pair)
         # Six cuts, then the Procrustes refit of U_A in _certify.
-        assert counts == {"svd": 7, "eigh": 0}
+        assert counts == {"svd": 1, "eigh": 6}
 
     def test_report(self, pair, counts):
         decision = decide_equivalence(*pair)
-        counts["svd"] = 0
+        counts.update(svd=0, eigh=0)
         report = _decision_report(decision, pair[0].dims, Tolerances(), 0.0, ("a", "b"))
         assert counts == {"svd": 0, "eigh": 0}
         assert report["power_sums"]["first"]["A"][0] == pytest.approx(1.0, abs=1e-12)
@@ -519,7 +525,7 @@ class TestFactorisationCounts:
         path = tmp_path / "state.state"
         path.write_text(serialize_state(pair[0]))
         assert main(["invariants", str(path), "--json"]) == 0
-        assert counts == {"svd": 3, "eigh": 0}
+        assert counts == {"svd": 0, "eigh": 3}
 
 
 class TestUsage:

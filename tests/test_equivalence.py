@@ -20,6 +20,8 @@ from triequiv.states import (
     TripartiteState,
     apply_local_unitaries,
     cut_svd,
+    gram_rounding,
+    gram_vouches,
     matricize,
     random_state,
     random_unitary,
@@ -434,10 +436,12 @@ def test_procrustes_is_reached_only_through_refit(monkeypatch):
     # Besides the cut factorisations, every SVD of a decision is the polar
     # factor in _refit: a generic pair needs it only to certify, a state
     # maximally entangled across A starts from the one-block refit, GHZ
-    # needs sweeps.  QR serves the wide cuts alone (all of 4x8x16's).
+    # needs sweeps.  Each cut takes one eigh of its Gram matrix; QR serves
+    # only wide cuts that fall back, here cut A of rank 2 of a 4x8x16 pair.
     callers = []
     qr_shapes = []
-    svd, qr = np.linalg.svd, np.linalg.qr
+    eigh_shapes = []
+    svd, qr, eigh = np.linalg.svd, np.linalg.qr, np.linalg.eigh
 
     def record(*args, **kwargs):
         frames = sys._getframe(1), sys._getframe(2)
@@ -451,23 +455,37 @@ def test_procrustes_is_reached_only_through_refit(monkeypatch):
         qr_shapes.extend([(rows, cols)] * int(np.prod(stack)))
         return qr(a, *args, **kwargs)
 
+    def record_eigh(a, *args, **kwargs):
+        assert sys._getframe(1).f_code.co_name == "cut_svd"
+        *stack, rows, _ = np.shape(a)
+        eigh_shapes.extend([rows] * int(np.prod(stack)))
+        return eigh(a, *args, **kwargs)
+
     max_a = _max_entangled_a((3, 3, 3), np.random.default_rng(0))
     factors = (random_unitary(3, seed) for seed in range(3))
+    rng = np.random.default_rng(1)
+    rank_two = _schmidt_state((4, 8, 16), 2, None, rng)
+    rotations = (random_unitary(d, rng) for d in rank_two.dims)
     pairs = (
         _lu_pair((3, 4, 5), 0)[:2],
         (max_a, apply_local_unitaries(max_a, *factors)),
         _rotated_ghz(),
         _lu_pair((4, 8, 16), 0)[:2],
+        (rank_two, apply_local_unitaries(rank_two, *rotations)),
     )
     monkeypatch.setattr(np.linalg, "svd", record)
     monkeypatch.setattr(np.linalg, "qr", record_qr)
+    monkeypatch.setattr(np.linalg, "eigh", record_eigh)
     for first, second in pairs:
         _assert_certified(decide_equivalence(first, second), first, second)
     refits = {user for caller, user in callers if caller == "_refit"}
     assert {caller for caller, _ in callers} == {"cut_svd", "_refit"}
     assert refits == {"_sweep", "_one_block_start", "_certify"}
-    # QR takes the transposed cut, cols x rows: 4x128, 8x64 and 16x32, twice.
-    assert sorted(qr_shapes) == sorted([(128, 4), (64, 8), (32, 16)] * 2)
+    # One Gram matrix per cut of every state, each d x d.
+    dims = [(3, 4, 5), (3, 3, 3), (2, 2, 2), (4, 8, 16), (4, 8, 16)]
+    assert sorted(eigh_shapes) == sorted(d for shape in dims for d in shape * 2)
+    # QR takes the transposed cut, cols x rows: 4x128, for both states.
+    assert qr_shapes == [(128, 4)] * 2
 
 
 @pytest.mark.parametrize(
@@ -506,6 +524,112 @@ def test_cut_svds_give_left_vectors_and_spectra(dims, rank):
         eigenvalues[: spectrum.size] = spectrum**2
         gram = vecs.conj().T @ a @ a.conj().T @ vecs
         np.testing.assert_allclose(gram, np.diag(eigenvalues), rtol=0, atol=1e-13)
+
+
+def _graded_state(dims, low, rng):
+    """State whose cut A singular values fall geometrically from 1 to ``low``
+    (before normalizing), with random singular vectors."""
+    k, m, n = dims
+    full = min(k, m * n)
+    sigma = np.logspace(0, np.log10(low), full) if full > 1 else np.ones(1)
+    amps = (random_unitary(k, rng)[:, :full] * sigma) @ random_unitary(m * n, rng)[:full]
+    return TripartiteState.from_unnormalized(amps.reshape(dims))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    log_low=st.floats(-12.0, -4.0),
+    log_spec_tol=st.integers(-300, -9),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=(12, 12, 12), log_low=-12.0, log_spec_tol=-300, seed=0)
+@example(dims=(4, 8, 16), log_low=-8.0, log_spec_tol=-300, seed=0)
+@example(dims=(6, 2, 2), log_low=-12.0, log_spec_tol=-9, seed=0)
+def test_small_singular_values_do_not_refute_lu_pairs(dims, log_low, log_spec_tol, seed):
+    # Cut A's spectrum falls to 1e-12 at the lowest; at every spectra
+    # tolerance the Gram route's squaring costs no LU pair a refutation.
+    # Weak levels can leave the search inconclusive (the phase solve's
+    # cutoff), and refutation comes before it, so no sweep is run.
+    rng = np.random.default_rng(seed)
+    state = _graded_state(dims, 10.0**log_low, rng)
+    rotated = apply_local_unitaries(state, *(random_unitary(d, rng) for d in dims))
+    tols = Tolerances(spectra=10.0**log_spec_tol)
+    for first, second in ((state, rotated), (rotated, state)):
+        decision = decide_equivalence(first, second, tols, gauge_budget=0)
+        assert decision.verdict is not Verdict.INVARIANTS_DIFFER
+        if decision.verdict is Verdict.EQUIVALENT_D1:
+            _assert_certified(decision, first, second)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    dims=st.sampled_from([(6, 6, 6), (8, 8, 8), (12, 12, 12), (4, 8, 16), (5, 6, 7)]),
+    log_low=st.floats(-6.3, -5.7),
+    log_spec_tol=st.integers(-300, -9),
+    seed=st.integers(0, 2**16),
+)
+def test_small_singular_values_that_differ_refute_through_the_fallback(
+    dims, log_low, log_spec_tol, seed
+):
+    # The two states differ only in cut A's smallest singular value, by 1e-8
+    # near 1e-6.  There the Gram route's allowance exceeds the default
+    # tolerance, so cut A falls back to the QR/SVD route, which refutes.
+    rng = np.random.default_rng(seed)
+    k, m, n = dims
+    low = 10.0**log_low
+    sigma = np.logspace(0, np.log10(low), k)
+    sigma[:-1] *= np.sqrt((1 - low**2) / np.sum(sigma[:-1] ** 2))
+    other = sigma.copy()
+    other[-1] += 1e-8
+    left, right = random_unitary(k, rng), random_unitary(m * n, rng)[:k]
+    first, second = (
+        TripartiteState.from_unnormalized(((left * s) @ right).reshape(dims))
+        for s in (sigma, other)
+    )
+    shape = (k, m * n)
+    for state in (first, second):
+        (_,), (spectrum,) = cut_svd(state.amplitudes[None], Cut.A)
+        assert not gram_vouches(float(spectrum[0]), float(spectrum[-1]), shape)
+    decision = decide_equivalence(first, second, Tolerances(spectra=10.0**log_spec_tol))
+    assert decision.verdict is Verdict.INVARIANTS_DIFFER
+    assert (decision.witness.cut, decision.witness.index) == (Cut.A, k - 1)
+    assert decision.witness.deviation == pytest.approx(1e-8, rel=1e-3)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+    kind=st.sampled_from(["dense", "rank-deficient", "graded"]),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=(6, 2, 2), kind="dense", seed=0)
+@example(dims=(32, 4, 4), kind="rank-deficient", seed=0)
+@example(dims=(1, 1, 1), kind="dense", seed=0)
+@example(dims=(5, 1, 1), kind="graded", seed=0)
+@example(dims=(12, 12, 12), kind="graded", seed=0)
+def test_gram_spectra_lie_within_their_allowance(dims, kind, seed):
+    # Every cut, wide or tall, full rank or not: sigma' = sqrt(max(lambda, 0))
+    # from eigh of the Gram matrix is within gram_rounding of the SVD's
+    # spectrum (and of zero past the rank), plus the SVD's own rounding.
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        state = random_state(dims, rng)
+    elif kind == "graded":
+        state = _graded_state(dims, 10.0 ** rng.uniform(-12, -2), rng)
+    else:
+        full = min(dims[0], dims[1] * dims[2])
+        rank = int(rng.integers(1, full)) if full > 1 else 1
+        state = _schmidt_state(dims, rank, None, rng)
+    for cut in Cut:
+        a = matricize(state, cut)
+        values = np.linalg.eigh(a @ a.conj().T)[0][::-1]
+        gram = np.sqrt(np.maximum(values, 0.0))
+        exact = np.zeros(a.shape[0])
+        exact[: min(a.shape)] = np.linalg.svd(a, compute_uv=False)
+        svd_rounding = sum(a.shape) * np.finfo(float).eps * exact[0]
+        allowance = gram_rounding(gram, a.shape) + svd_rounding
+        assert np.all(np.abs(gram - exact) <= allowance)
 
 
 def _assert_certified(decision, first, second):
