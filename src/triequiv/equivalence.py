@@ -4,8 +4,10 @@ One factorisation per cut, :func:`triequiv.states.cut_svd`, gives the cut's
 singular spectrum and left singular vectors, never its right ones: the
 ``eigh`` of its Gram matrix, or where that cannot vouch for its small singular
 values (rank-deficient cuts among them) an SVD, for a wide cut the SVD of the
-small factor of a QR.  A cut whose spectra differ by more than the tolerance
-and that route's rounding refutes the pair.
+small factor of a QR.  A cut refutes the pair where an SVD of it finds spectra
+that differ by more than the tolerance and the SVD's rounding; a cut is
+factored again by that SVD only where its first spectra, within their
+rounding, leave a refutation open.
 Otherwise each state is put into its frame, the higher-order SVD: the same
 factorisations give the eigenbasis of each one-party reduction, grouped by
 eigenvalue, and the core tensor is the state in those bases.  A local unitary
@@ -178,55 +180,40 @@ def _refit(source, target, p: int, g: list) -> tuple[np.ndarray, float]:
 def _spectrum_witness(
     sa, sb, tol: float, cut: Cut | None, shape: tuple[int, int]
 ) -> SpectrumWitness | None:
-    """Witness where two spectra differ by most beyond ``tol`` and rounding.
+    """Witness at the largest deviation of two SVD spectra, if that exceeds ``tol``.
 
-    The deviation at an index must exceed ``tol`` plus the rounding of the
-    two ``shape`` factorisations at that index, :func:`cut_rounding` each,
-    so that no tolerance however small refutes a pair on rounding alone.
-
-    The QR/SVD route of :func:`cut_svd` is backward stable.  The SVD returns
-    the exact spectrum of a + E.  The QR route returns the exact SVD
-    U S W^dagger of R^t + E_2, where a^t + E_1 = Q R is the Householder QR
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm. 19.4) and
-    E_2 the backward error of the small SVD; as Q^t has orthonormal rows,
-    U S (W^dagger Q^t) is an SVD of a + E for E = E_1^t + E_2 Q^t.  By
-    Weyl's inequality each singular value then moves by at most ||E||_2 <=
-    ||E_1||_2 + ||E_2||_2, and the worst-case bounds on that over eps
-    sigma_1 are low-degree polynomials in rows and cols; (rows + cols) eps
-    sigma_1 is the allowance taken, the same at every index.
-
-    The Gram route squares first.  The computed G' = a a^dagger + E_1 has
-    |E_1| <= gamma_c |a| |a|^dagger entrywise for a cut of c columns
-    (Higham, Sec. 3.5), of order c eps sigma_1^2 in norm, and ``eigh``
-    returns the exact eigenvalues of G' + E_2, ||E_2||_2 of order d eps
-    ||G||_2 = d eps sigma_1^2 (Householder tridiagonalisation, Thm. 19.4
-    again).  By Weyl's inequality for Hermitian matrices each eigenvalue then
-    moves by at most ||E_1||_2 + ||E_2||_2; delta = (rows + cols) eps
-    sigma_1^2 is the allowance taken.  For sigma_i = sqrt(lambda_i) and
-    sigma'_i = sqrt(max(lambda'_i, 0)), |sigma_i - sigma'_i| =
-    |lambda_i - lambda'_i| / (sigma_i + sigma'_i) <= delta / sigma'_i, and
-    |sigma_i - sigma'_i| <= sqrt|lambda_i - lambda'_i| <= sqrt(delta), so
-    index i gets min(sqrt(delta), delta / sigma'_i): sharp for large sigma,
-    loose near zero.  :func:`cut_svd` keeps a Gram spectrum only where this
-    is within ``DEFAULT_TOLERANCES.spectra`` at the smallest index
-    (:func:`gram_vouches`), so at the default tolerance the squaring costs no
-    refutation.  The Gram allowance is never below the QR/SVD one, so where
-    a caller's ``spectra`` tolerance is below the default a refutation needs
-    a deviation larger than this per-index allowance, about delta / sigma_i.
-
-    Measured: over LU pairs from 1 x 3 x 5 to 24^3 and 2 x 48 x 48,
-    rank-deficient ones included, the deviations stayed below 0.27 of the
-    allowance on either route; Gram spectra of every shape, tall cuts and
-    dimensions of 1 included, stayed within 0.61 of theirs of an SVD's.
+    The deviation must also exceed the rounding of the SVDs of two ``shape``
+    matrices, (rows + cols) eps sigma_1 each (:func:`cut_rounding`), so that
+    no tolerance however small refutes a pair on rounding alone.  Over LU
+    pairs from 8^3 to 2 x 48 x 48, rank-deficient ones included, the
+    deviations seen stayed below 0.16 of it.
     """
-    deviation = np.abs(sa - sb)
-    if not deviation.max() > tol:  # no allowance is negative
-        return None
-    excess = deviation - cut_rounding(sa, shape) - cut_rounding(sb, shape)
-    worst = int(np.argmax(excess))
-    if excess[worst] > tol:
+    worst = int(np.argmax(np.abs(sa - sb)))
+    rounding = sum(shape) * np.finfo(float).eps * (sa[0] + sb[0])
+    if abs(sa[worst] - sb[worst]) > tol + rounding:
         return SpectrumWitness(cut, worst, float(sa[worst]), float(sb[worst]))
     return None
+
+
+def _cut_witness(
+    amplitudes: np.ndarray, cut: Cut, sa, sb, tol: float, shape: tuple[int, int]
+) -> SpectrumWitness | None:
+    """Witness on one cut of a stacked pair, from the cut's :func:`cut_svd` spectra.
+
+    Each spectrum lies within :func:`cut_rounding` of the exact one at every
+    index, so where the largest deviation plus both bounds is within ``tol``
+    the exact spectra differ by at most ``tol`` and no SVD could refute:
+    None, with no further factorisation, as for LU pairs at the default
+    tolerance unless a cut's bound nears it.  Otherwise the cut of both states is factored again by one
+    SVD and :func:`_spectrum_witness` decides.  A refutation so costs the
+    Gram route nothing at any tolerance: it needs the deviation an SVD
+    needs, never the Gram allowance on top.
+    """
+    rounding = cut_rounding(sa, shape) + cut_rounding(sb, shape)
+    if float(np.abs(sa - sb).max()) + rounding <= tol:
+        return None
+    sa, sb = np.linalg.svd(unfold(amplitudes, tuple(Cut).index(cut)), compute_uv=False)
+    return _spectrum_witness(sa, sb, tol, cut, shape)
 
 
 def bipartite_equivalent(
@@ -512,9 +499,10 @@ def _obstruction(
        sin theta <= 2 eps / delta_p, so up to a phase it moves by at most
        sqrt(2) 2 eps / delta_p <= sqrt(d_p) 2 eps / delta_p; delta_p is the
        smallest gap the cycle touches, infinite for d_p = 1.  The bases'
-       own rounding is the same bound with eps the rounding allowance of
-       :func:`_spectrum_witness` (on the Gram matrix, of which the bases
-       are eigenvectors on either route), orders of magnitude below tau.
+       own rounding is the same bound with eps of order (rows + cols) eps
+       sigma_1^2 (:func:`triequiv.states.cut_rounding`; on the Gram matrix,
+       of which the bases are eigenvectors on either route), orders of
+       magnitude below tau.
     3. Entry e = (s, p, q) of the second core is <v'_s v'_p v'_q|psi'>; it is
        within tau of <v'_s v'_p v'_q|phi>, and that, telescoping the product,
        within the three vectors' moves of core_e times the conjugate phases:
@@ -667,7 +655,7 @@ def decide_equivalence(
     spectra = tuple(tuple(tuple(s.tolist()) for s in side) for side in sides)
     size = state.amplitudes.size
     for cut, d, sa, sb in zip(Cut, state.dims, *sides):
-        witness = _spectrum_witness(sa, sb, tols.spectra, cut, (d, size // d))
+        witness = _cut_witness(amplitudes, cut, sa, sb, tols.spectra, (d, size // d))
         if witness is not None:
             return TripartiteDecision(
                 verdict=Verdict.INVARIANTS_DIFFER, witness=witness, spectra=spectra

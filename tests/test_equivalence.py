@@ -20,8 +20,7 @@ from triequiv.states import (
     TripartiteState,
     apply_local_unitaries,
     cut_svd,
-    gram_rounding,
-    gram_vouches,
+    gram_delta,
     matricize,
     random_state,
     random_unitary,
@@ -97,6 +96,21 @@ class TestBipartiteEquivalent:
             b = random_unitary(3, rng) @ a @ random_unitary(6, rng).T
             cert = bipartite_equivalent(a, b, Tolerances(spectra=spectra))
             assert not isinstance(cert, SpectrumWitness)
+
+    @pytest.mark.parametrize("apart", [1.1e-9, 1.5e-9, 2e-9])
+    def test_small_values_just_past_the_tolerance_are_a_witness(self, apart):
+        # Plain matrices are factored by an SVD, whose rounding is of order
+        # eps sigma_1 at every index, so a deviation just past tols.spectra
+        # at sigma = 1e-5 refutes.
+        rng = np.random.default_rng(5)
+        u, v = random_unitary(3, rng), random_unitary(6, rng)[:3]
+        sigma = np.array([1.0, 0.5, 1e-5])
+        a = (u * sigma) @ v
+        b = (u * (sigma + [0, 0, apart])) @ v
+        res = bipartite_equivalent(a, b)
+        assert isinstance(res, SpectrumWitness)
+        assert res.index == 2
+        assert res.deviation == pytest.approx(apart, rel=1e-5)
 
     def test_residual_failure_is_certificate_error(self):
         # Spectra inside the loose equality tolerance but far beyond the
@@ -574,7 +588,7 @@ def test_small_singular_values_that_differ_refute_through_the_fallback(
 ):
     # The two states differ only in cut A's smallest singular value, by 1e-8
     # near 1e-6.  There the Gram route's allowance exceeds the default
-    # tolerance, so cut A falls back to the QR/SVD route, which refutes.
+    # tolerance, so cut A falls back to an SVD, which refutes.
     rng = np.random.default_rng(seed)
     k, m, n = dims
     low = 10.0**log_low
@@ -590,11 +604,51 @@ def test_small_singular_values_that_differ_refute_through_the_fallback(
     shape = (k, m * n)
     for state in (first, second):
         (_,), (spectrum,) = cut_svd(state.amplitudes[None], Cut.A)
-        assert not gram_vouches(float(spectrum[0]), float(spectrum[-1]), shape)
+        assert gram_delta(float(spectrum[0]), float(spectrum[-1]), shape) is None
     decision = decide_equivalence(first, second, Tolerances(spectra=10.0**log_spec_tol))
     assert decision.verdict is Verdict.INVARIANTS_DIFFER
     assert (decision.witness.cut, decision.witness.index) == (Cut.A, k - 1)
     assert decision.witness.deviation == pytest.approx(1e-8, rel=1e-3)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    dims=st.sampled_from([(6, 6, 6), (8, 8, 8), (12, 12, 12), (4, 8, 16), (5, 6, 7)]),
+    log_low=st.floats(-4.9, -4.0),
+    apart=st.floats(1.05e-9, 3e-9),
+    log_spec_tol=st.integers(-300, -9),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=(4, 8, 16), log_low=-4.9, apart=1.1e-9, log_spec_tol=-9, seed=0)
+@example(dims=(12, 12, 12), log_low=-4.9, apart=1.2e-9, log_spec_tol=-9, seed=0)
+def test_deviations_within_the_gram_allowance_still_refute(
+    dims, log_low, apart, log_spec_tol, seed
+):
+    # Cut A's smallest singular value, near 1e-5, is where its Gram spectrum
+    # is still kept with an allowance of up to 1e-9 on each side; the two
+    # states differ there by 1e-9 to 3e-9, which an SVD tells apart.  The
+    # cut is factored again by an SVD, so the Gram allowance costs no
+    # refutation, at the default tolerance or below it.
+    rng = np.random.default_rng(seed)
+    k, m, n = dims
+    low = 10.0**log_low
+    sigma = np.full(k, np.sqrt((1 - low**2) / (k - 1)))
+    sigma[-1] = low
+    other = sigma.copy()
+    other[-1] += apart
+    left, right = random_unitary(k, rng), random_unitary(m * n, rng)[:k]
+    first, second = (
+        TripartiteState.from_unnormalized(((left * s) @ right).reshape(dims))
+        for s in (sigma, other)
+    )
+    shape = (k, m * n)
+    for state in (first, second):
+        (_,), (spectrum,) = cut_svd(state.amplitudes[None], Cut.A)
+        assert gram_delta(float(spectrum[0]), float(spectrum[-1]), shape) is not None
+    decision = decide_equivalence(first, second, Tolerances(spectra=10.0**log_spec_tol))
+    assert decision.verdict is Verdict.INVARIANTS_DIFFER
+    assert (decision.witness.cut, decision.witness.index) == (Cut.A, k - 1)
+    assert decision.witness.deviation == pytest.approx(apart, rel=1e-3)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -610,8 +664,9 @@ def test_small_singular_values_that_differ_refute_through_the_fallback(
 @example(dims=(12, 12, 12), kind="graded", seed=0)
 def test_gram_spectra_lie_within_their_allowance(dims, kind, seed):
     # Every cut, wide or tall, full rank or not: sigma' = sqrt(max(lambda, 0))
-    # from eigh of the Gram matrix is within gram_rounding of the SVD's
-    # spectrum (and of zero past the rank), plus the SVD's own rounding.
+    # from eigh of the Gram matrix is within min(sqrt(delta), delta / sigma'),
+    # delta = (rows + cols) eps sigma'_1^2, of the SVD's spectrum (and of zero
+    # past the rank), plus the SVD's own rounding.
     rng = np.random.default_rng(seed)
     if kind == "dense":
         state = random_state(dims, rng)
@@ -628,7 +683,8 @@ def test_gram_spectra_lie_within_their_allowance(dims, kind, seed):
         exact = np.zeros(a.shape[0])
         exact[: min(a.shape)] = np.linalg.svd(a, compute_uv=False)
         svd_rounding = sum(a.shape) * np.finfo(float).eps * exact[0]
-        allowance = gram_rounding(gram, a.shape) + svd_rounding
+        delta = sum(a.shape) * np.finfo(float).eps * gram[0] ** 2
+        allowance = delta / np.maximum(gram, np.sqrt(delta)) + svd_rounding
         assert np.all(np.abs(gram - exact) <= allowance)
 
 
