@@ -1,4 +1,4 @@
-"""Command-line entry points: ``invariants``, ``check``, ``factorize``, ``random``."""
+"""Command-line entry points: ``invariants``, ``check``, ``random``."""
 
 from __future__ import annotations
 
@@ -17,10 +17,8 @@ from .equivalence import (
 )
 from .fileio import (
     DECISION_SCHEMA,
-    FACTORIZE_SCHEMA,
     INVARIANTS_SCHEMA,
     StateFormatError,
-    load_matrix,
     load_state,
     matrix_pairs,
     report_to_json,
@@ -30,9 +28,8 @@ from .fileio import (
 from .invariants import check_nested, nested_invariant, power_sums, singular_spectrum
 # Not called here: perfbench/tracing.py wraps this name on this module.
 from .invariants import power_sum_invariants  # noqa: F401
-from .realign import is_unitarily_decomposable
 from .states import Cut, apply_local_unitaries, random_state, random_unitary
-from .tolerances import DEFAULT_TOLERANCES, RANK1_TOL, Tolerances, check_tolerance
+from .tolerances import DEFAULT_TOLERANCES, Tolerances, check_tolerance
 
 EXIT_EQUIVALENT = 0
 EXIT_INVARIANTS_DIFFER = 1
@@ -219,40 +216,6 @@ def _cmd_check(args) -> int:
     return max(code for _, code in results)
 
 
-# ----------------------------------------------------------------- factorize
-
-
-def _cmd_factorize(args) -> int:
-    matrix = load_matrix(args.matrix)
-    m, n = args.m, args.n
-    f = is_unitarily_decomposable(matrix, m, n, rank1_tol=args.rank1_tol)
-    u1, u2 = f.unitary_factors()
-    residual = float(np.linalg.norm(matrix - f.product()))
-    if args.json:
-        report = {
-            "schema": FACTORIZE_SCHEMA,
-            "input": str(args.matrix),
-            "split": [m, n],
-            "decomposable": f.decomposable,
-            "defect": f.defect,
-            "scale": f.scale,
-            "reconstruction_residual": residual,
-            "unitary_left": matrix_pairs(u1),
-            "unitary_right": matrix_pairs(u2),
-        }
-        sys.stdout.write(report_to_json(report))
-    else:
-        print(f"decomposable: {'yes' if f.decomposable else 'no'}")
-        print(f"defect (sigma2/sigma1 of realignment): {f.defect:.6e}")
-        if f.decomposable:
-            print(f"scale: {f.scale:.12g}")
-            print(f"reconstruction residual: {residual:.3e}")
-            with np.printoptions(precision=9, suppress=True, linewidth=120):
-                print(f"left factor ({m}x{m}):\n{u1}")
-                print(f"right factor ({n}x{n}):\n{u2}")
-    return 0 if f.decomposable else 1
-
-
 # -------------------------------------------------------------------- random
 
 
@@ -328,18 +291,6 @@ def build_parser() -> _Parser:
     p_check.add_argument("--strict", action="store_true", help="reject off-norm input")
     p_check.add_argument("--json", action="store_true", help="emit JSON reports")
     p_check.set_defaults(func=_cmd_check)
-
-    p_fac = sub.add_parser(
-        "factorize", help="test a unitary for Kronecker decomposability"
-    )
-    p_fac.add_argument("matrix", help="matrix file")
-    p_fac.add_argument("-m", type=_int_from(1), required=True, help="left factor dimension")
-    p_fac.add_argument("-n", type=_int_from(1), required=True, help="right factor dimension")
-    p_fac.add_argument(
-        "--rank1-tol", type=_tolerance, default=RANK1_TOL, help="realignment defect threshold"
-    )
-    p_fac.add_argument("--json", action="store_true", help="emit a JSON report")
-    p_fac.set_defaults(func=_cmd_factorize)
 
     p_rand = sub.add_parser("random", help="emit seeded random states")
     p_rand.add_argument(

@@ -31,7 +31,6 @@ from .tolerances import NORM_TOL
 
 DECISION_SCHEMA = "triequiv.decision/2"
 INVARIANTS_SCHEMA = "triequiv.invariants/1"
-FACTORIZE_SCHEMA = "triequiv.factorize/1"
 
 
 class StateFormatError(ValueError):

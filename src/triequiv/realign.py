@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import unitarity_defect
-from .tolerances import DEFAULT_TOLERANCES, RANK1_TOL, check_tolerance
+from .tolerances import DEFAULT_TOLERANCES, RANK1_TOL
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -53,9 +53,11 @@ class KronFactorization:
     """Nearest Kronecker factorization U ~ X (x) Y of an (m*n) x (m*n) matrix.
 
     ``defect`` is sigma2/sigma1 of the realigned matrix: zero exactly for
-    Kronecker products, one for maximally non-decomposable inputs.  For a
-    unitary input that is decomposable, ``scale`` is the positive constant k
-    with X X† = I/k, so sqrt(k) X and Y / sqrt(k) are the unitary factors.
+    Kronecker products, one for maximally non-decomposable inputs.
+    ``decomposable`` is ``defect <= RANK1_TOL``; a caller who wants another
+    threshold compares it with ``defect``.  For a unitary input that is
+    decomposable, ``scale`` is the positive constant k with X X† = I/k, so
+    sqrt(k) X and Y / sqrt(k) are the unitary factors.
     """
 
     x: np.ndarray
@@ -74,9 +76,7 @@ class KronFactorization:
         return root * self.x, self.y / root
 
 
-def kron_factorize(
-    u: np.ndarray, m: int, n: int, rank1_tol: float = RANK1_TOL
-) -> KronFactorization:
+def kron_factorize(u: np.ndarray, m: int, n: int) -> KronFactorization:
     """Best Frobenius-norm approximation of U by a single Kronecker product.
 
     Takes the dominant singular triple of the realigned matrix; since
@@ -84,7 +84,6 @@ def kron_factorize(
     ambiguity (cX) (x) (Y/c) is fixed by balancing ||X||_F = ||Y||_F and
     making the largest-magnitude entry of X real and positive.
     """
-    check_tolerance("rank1_tol", rank1_tol)
     u = np.asarray(u, dtype=np.complex128)
     tilde = realign(u, m, n)
     w, s, vh = np.linalg.svd(tilde)
@@ -109,13 +108,11 @@ def kron_factorize(
     # ||X||_F^2 equals sigma1, so for decomposable unitaries k = m / sigma1.
     scale = m / float(s[0])
     return KronFactorization(
-        x=x, y=y, scale=scale, defect=defect, decomposable=defect <= rank1_tol
+        x=x, y=y, scale=scale, defect=defect, decomposable=defect <= RANK1_TOL
     )
 
 
-def is_unitarily_decomposable(
-    u: np.ndarray, m: int, n: int, rank1_tol: float = RANK1_TOL
-) -> KronFactorization:
+def is_unitarily_decomposable(u: np.ndarray, m: int, n: int) -> KronFactorization:
     """Test whether a unitary U factors as a Kronecker product of unitaries.
 
     Non-unitary input is rejected with ``ValueError`` (a caller bug, distinct
@@ -133,7 +130,7 @@ def is_unitarily_decomposable(
         raise ValueError(
             f"input is not unitary (defect {defect:.3e} > {tols.unitarity})"
         )
-    f = kron_factorize(u, m, n, rank1_tol)
+    f = kron_factorize(u, m, n)
     if not f.decomposable:
         return f
     u1, u2 = f.unitary_factors()

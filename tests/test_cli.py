@@ -9,7 +9,7 @@ import pytest
 
 from triequiv.cli import _EXIT_FOR_VERDICT, _decision_report, main
 from triequiv.equivalence import Verdict, decide_equivalence
-from triequiv.fileio import load_state, serialize_matrix, serialize_state
+from triequiv.fileio import load_state, serialize_state
 from triequiv.states import (
     TripartiteState,
     apply_local_unitaries,
@@ -23,7 +23,6 @@ from util import (
     golden_pair_222,
     golden_pair_223,
     kron_apply,
-    swap_gate,
 )
 
 
@@ -338,64 +337,6 @@ class TestCheckCommand:
         assert "mismatch" in capsys.readouterr().err
 
 
-class TestFactorizeCommand:
-    def test_swap_not_decomposable(self, tmp_path, capsys):
-        path = tmp_path / "swap.mat"
-        path.write_text(serialize_matrix(swap_gate()))
-        assert main(["factorize", str(path), "-m", "2", "-n", "2"]) == 1
-        assert "decomposable: no" in capsys.readouterr().out
-
-    def test_identity_decomposable(self, tmp_path, capsys):
-        path = tmp_path / "eye.mat"
-        path.write_text(serialize_matrix(np.eye(4, dtype=complex)))
-        assert main(["factorize", str(path), "-m", "2", "-n", "2"]) == 0
-        assert "decomposable: yes" in capsys.readouterr().out
-
-    def test_golden_bridge_json(self, tmp_path, capsys):
-        from util import golden_bridge_223
-
-        _, v1 = golden_bridge_223()
-        path = tmp_path / "v1.mat"
-        path.write_text(serialize_matrix(v1))
-        assert main(["factorize", str(path), "-m", "2", "-n", "3", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["decomposable"] is True
-        assert report["defect"] <= 1e-10
-        assert report["reconstruction_residual"] <= 1e-10
-
-    def test_non_unitary_reported_distinctly(self, tmp_path, capsys):
-        path = tmp_path / "bad.mat"
-        path.write_text(serialize_matrix(np.ones((4, 4), dtype=complex)))
-        assert main(["factorize", str(path), "-m", "2", "-n", "2"]) == 65
-        assert "not unitary" in capsys.readouterr().err
-
-    def test_negative_split_is_a_usage_error(self, tmp_path, capsys):
-        # m * n = 3 would otherwise reach the realignment with a 3x3 matrix.
-        path = tmp_path / "u.mat"
-        path.write_text(serialize_matrix(np.eye(3, dtype=complex)))
-        assert main(["factorize", str(path), "-m", "-1", "-n", "-3"]) == 64
-        assert "-m" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
-    def test_rank1_tol_not_finite_and_positive_is_a_usage_error(
-        self, tmp_path, bad, capsys
-    ):
-        # A negative threshold would report the identity as not decomposable.
-        path = tmp_path / "eye.mat"
-        path.write_text(serialize_matrix(np.eye(4, dtype=complex)))
-        args = ["factorize", str(path), "-m", "2", "-n", "2", "--rank1-tol", bad]
-        assert main(args) == 64
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--rank1-tol" in captured.err
-
-    def test_wrong_shape_reported(self, tmp_path, capsys):
-        path = tmp_path / "odd.mat"
-        path.write_text(serialize_matrix(np.eye(5, dtype=complex)))
-        assert main(["factorize", str(path), "-m", "2", "-n", "2"]) == 65
-        assert "shape" in capsys.readouterr().err
-
-
 class TestRandomCommand:
     def test_reproducible_files(self, tmp_path, capsys):
         out1 = tmp_path / "a"
@@ -544,6 +485,14 @@ class TestUsage:
         spec.loader.exec_module(tracing)
         for module, attr, _ in tracing.TARGETS:
             assert hasattr(sys.modules[module], attr), f"{module}.{attr}"
+
+    def test_factorize_is_not_a_command(self, capsys):
+        # The realignment test is the library's is_unitarily_decomposable.
+        assert main(["factorize", "u.mat", "-m", "2", "-n", "2"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: triequiv")
+        assert "invalid choice" in captured.err and "factorize" in captured.err
 
     def test_unknown_flag(self, golden_files):
         assert main(["check", *golden_files, "--bogus"]) == 64

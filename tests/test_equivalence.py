@@ -372,11 +372,12 @@ def _verdict_class(decision):
 @example(dims=(32, 4, 4), trial=0, rank_deficient=True, log_spec_tol=-300)
 def test_lu_rotated_pairs_are_never_refuted(dims, trial, rank_deficient, log_spec_tol):
     # Cuts with more rows than columns (cut A of 5x2x2, 6x1x3 and 32x4x4)
-    # take the frame's full SVD; wide cuts with cols >= 2 rows and rows cols
-    # >= 512 (every cut of 8^3, 12^3 and 4x8x16, cuts B and C of 32x4x4) the
-    # QR route; the others (every cut of 8x2x16) the thin SVD.  However small
-    # the spectra tolerance, the rounding of an LU pair's spectra is no
-    # witness.
+    # take the full SVD, and every other full-rank cut one eigh of its Gram
+    # matrix.  Rank-deficient cuts fall back: cut A of the rank-deficient
+    # 8^3, 12^3 and 4x8x16 to the QR route (cols >= 2 rows and rows cols >=
+    # 512), cuts A and C of 8x2x16 and cut C of 6x1x3 to the thin SVD; beside
+    # ``other`` they make a stack that mixes both routes.  However small the
+    # spectra tolerance, the rounding of an LU pair's spectra is no witness.
     state, rotated, factors = _lu_pair(dims, trial)
     if rank_deficient:
         rng = np.random.default_rng(trial)
@@ -515,9 +516,11 @@ def test_procrustes_is_reached_only_through_refit(monkeypatch):
     ],
 )
 def test_cut_svds_give_left_vectors_and_spectra(dims, rank):
-    # Cuts on both sides of the QR crossover (3^3 and 8x2x16 take SVDs only,
-    # 12^3 and 4x8x16 QR only), and with more rows than columns (cut A of
-    # 6x2x2 and 32x4x4); with ``rank`` set, cut A has that rank.
+    # Full-rank wide cuts take one eigh of their Gram matrix (every cut of
+    # 3^3, 8x2x16 and 12^3, cuts B and C of the others); cut A of rank 5 at
+    # 12^3 and of rank 2 at 4x8x16 falls back to the QR route, and cut A of
+    # 6x2x2 and 32x4x4, with more rows than columns, to the full SVD.  With
+    # ``rank`` set, cut A has that rank.
     rng = np.random.default_rng(list(dims))
     if rank is None:
         state = random_state(dims, rng)
@@ -1208,17 +1211,27 @@ def test_phase_start_falls_back_on_conjugate_pairs(dims):
     "dims", [(3, 3, 3), (8, 2, 16), (12, 12, 12), (4, 8, 16), (6, 2, 2), (32, 4, 4)]
 )
 def test_stacked_cut_svds_give_each_state_its_own_bits(dims):
-    # 3^3 and 8x2x16 take SVDs only, 12^3 and 4x8x16 QR only, cut A of 6x2x2
-    # and 32x4x4 the full SVD of a tall cut, and cuts B and C of 32x4x4 QR.
+    # Full-rank wide cuts take one eigh of their Gram matrix (every cut of
+    # 3^3, 8x2x16, 12^3 and 4x8x16, cuts B and C of 6x2x2 and 32x4x4), and
+    # cut A of 6x2x2 and 32x4x4 the full SVD of a tall cut.  The mixed stack
+    # puts a rank-2 state between two of them: its cut A falls back, to the
+    # thin SVD at 3^3 and 8x2x16 and to QR at 12^3 and 4x8x16, while theirs
+    # keep the Gram route, so cut_svd merges the two routes' results.
     rng = np.random.default_rng(list(dims))
     states = [random_state(dims, rng) for _ in range(3)]
-    for count in (2, 3):
-        stack = np.stack([state.amplitudes for state in states[:count]])
-        for cut in Cut:
-            for state, vecs, spectrum in zip(states, *cut_svd(stack, cut)):
-                (own_vecs,), (own_spectrum,) = cut_svd(state.amplitudes[None], cut)
-                assert vecs.tobytes() == own_vecs.tobytes()
-                assert spectrum.tobytes() == own_spectrum.tobytes()
+    mixed = [states[0], _schmidt_state(dims, 2, None, rng), states[2]]
+    for stacked in (states, mixed):
+        for count in (2, 3):
+            stack = np.stack([state.amplitudes for state in stacked[:count]])
+            for cut in Cut:
+                for state, vecs, spectrum in zip(stacked, *cut_svd(stack, cut)):
+                    (own_vecs,), (own_spectrum,) = cut_svd(state.amplitudes[None], cut)
+                    assert vecs.tobytes() == own_vecs.tobytes()
+                    assert spectrum.tobytes() == own_spectrum.tobytes()
+    rows, cols = matricize(states[0], Cut.A).shape
+    spectra = cut_svd(np.stack([state.amplitudes for state in mixed]), Cut.A)[1]
+    falls = [gram_delta(s[0], s[-1], (rows, cols)) is None for s in spectra]
+    assert falls == [rows > cols, True, rows > cols]
 
 
 def test_generic_pairs_build_no_groups(monkeypatch):

@@ -343,6 +343,11 @@ class TestErrorMessages:
                 "dims: 1 1\n1 1 nan 0\n",
                 "m.txt:2: bad record: amplitude nan 0 is not finite",
             ),
+            # Two faults, a bad float on line 3 and a second dims line on line 4.
+            (
+                "dims: 2 2\n1 1  1 0\n2 2  1,5 0\ndims: 2 2\n",
+                "m.txt:3: bad record: could not convert string to float: '1,5'",
+            ),
         ],
     )
     def test_matrix_message(self, text, message):

@@ -146,10 +146,3 @@ class TestUnitarilyDecomposable:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="shape"):
             is_unitarily_decomposable(np.eye(4), 2, 3)
-
-    @pytest.mark.parametrize("factorize", [kron_factorize, is_unitarily_decomposable])
-    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
-    def test_rank1_tol_must_be_finite_and_positive(self, factorize, bad):
-        # A negative threshold would report the identity as not decomposable.
-        with pytest.raises(ValueError, match="rank1_tol"):
-            factorize(np.eye(4), 2, 2, rank1_tol=bad)
