@@ -12,7 +12,10 @@ line, then one record per amplitude with 1-based indices::
 Unlisted entries are zero.  Matrix files are identical except that records
 carry two indices (``dims: R C`` and ``row col re im``).  Values are written
 with 17 significant digits, which round-trips IEEE doubles exactly; values
-that are not finite are rejected.  Of several faults, the first line-local one
+that are not finite are rejected.  After a check of the headers, one numpy
+call reads every record; a document it declines (a fault, an index past int64,
+a ``0_1`` token, non-ASCII records, no record) is read line by line, which
+reads it or names its first fault.  Of several faults, the first line-local one
 by line is reported (a header or record wrong in itself or in its place);
 without one, a missing ``dims:`` line, then the first out-of-range or repeated
 index.
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from itertools import chain
 
 import numpy as np
 
@@ -38,58 +40,46 @@ class StateFormatError(ValueError):
 
 
 def _scan(text: str, source: str, index_count: int):
-    """Read a well-formed document into its amplitude array, in bulk.
-
-    Well formed: exactly one ``dims:`` line of positive integers, before every
-    record; at most one ``label:`` line; records of ``index_count`` integers
-    and two finite floats, converted column by column.  Any other document
-    goes to :func:`_first_fault`; :func:`_fill` checks range and duplicates.
-    """
+    """Read a document: header checks, one ``np.loadtxt``, else :func:`_walk`."""
     lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    fields = list(map(str.split, lines))
-    headers = [
+    heads = [  # a comment can only cut a first token short: it makes no header
         row
         for row, line in enumerate(lines)
-        if ":" in line and fields[row][0].startswith(("label:", "dims:"))
+        if ":" in line and line.split()[0].startswith(("label:", "dims:"))
     ]
-    dims_rows = [row for row in headers if fields[row][0].startswith("dims:")]
-    for row in headers:
-        fields[row] = []
-    lengths = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
-    linenos = np.flatnonzero(lengths) + 1
-    width = index_count + 2
-    if (
-        len(dims_rows) != 1
-        or len(headers) > 2
-        or lengths[: dims_rows[0]].any()
-        or (lengths[linenos - 1] != width).any()
-    ):
-        _first_fault(lines, source, index_count)
-    flat = list(chain.from_iterable(fields))
-    columns = [flat[c::width] for c in range(index_count)]
-    parts = np.empty((linenos.size, 2))
+    body = lines.copy()  # the records alone, at their lines
+    for row in heads:
+        body[row] = ""
     try:
-        dims = tuple(map(int, lines[dims_rows[0]].split(":", 1)[1].split()))
-        try:
-            indices = np.array(columns, dtype=np.int64)  # int() on each token
-        except OverflowError:
-            # Indices beyond int64 are out of range; keep them as Python ints.
-            indices = np.array([list(map(int, column)) for column in columns])
-        parts[:, 0] = list(map(float, flat[index_count::width]))
-        parts[:, 1] = list(map(float, flat[index_count + 1 :: width]))
-    except ValueError:
-        dims = ()  # a token does not convert; _first_fault names it
-    if len(dims) != index_count or min(dims) < 1 or not np.isfinite(parts).all():
-        _first_fault(lines, source, index_count)
-    return _fill(dims, indices, parts.view(np.complex128)[:, 0], linenos, source)
+        (top,) = [row for row in heads if lines[row].split()[0].startswith("dims:")]
+        dims = tuple(map(int, lines[top].split("#", 1)[0].split(":", 1)[1].split()))
+        if len(heads) > 2 or len(dims) != index_count or min(dims) < 1:
+            raise ValueError
+        if any(line.split("#", 1)[0].split() for line in body[:top]):
+            raise ValueError  # a record before the dims line
+        if not text.isascii() and not "".join(body).isascii():
+            raise ValueError  # numpy reads "\u01fe1" as the index 4621
+        record = [("index", np.int64, (index_count,)), ("value", np.float64, (2,))]
+        with warnings.catch_warnings():  # declines no record, or "1.0" on old numpy
+            warnings.simplefilter("error")
+            records = np.loadtxt(body[top + 1 :], record, ndmin=1)
+        values = np.ascontiguousarray(records["value"]).view(np.complex128)[:, 0]
+        if not np.isfinite(values).all():
+            raise ValueError
+        indices = records["index"].T
+    except (ValueError, Warning):
+        dims, indices, values = _walk(lines, source, index_count)
+    return _fill(dims, indices, values, body, source)
 
 
-def _first_fault(lines, source: str, index_count: int):
-    """Raise the first line-local fault, else the missing ``dims:`` line."""
-    has_label = has_dims = False
+def _walk(lines, source: str, index_count: int):
+    """Read the lines in order: ``(dims, indices, values)``.
+
+    Raises the first line-local fault, else the missing ``dims:`` line.
+    """
+    has_label, dims, index_rows, values = False, None, [], []
     for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0]
         tokens = line.split()
         if not tokens:
             continue
@@ -99,21 +89,20 @@ def _first_fault(lines, source: str, index_count: int):
                 raise StateFormatError(f"{where}: duplicate label line")
             has_label = True
         elif tokens[0].startswith("dims:"):
-            if has_dims:
+            if dims is not None:
                 raise StateFormatError(f"{where}: duplicate dims line")
-            dims = line.split(":", 1)[1].split()
-            if len(dims) != index_count:
+            fields = line.split(":", 1)[1].split()
+            if len(fields) != index_count:
                 raise StateFormatError(
-                    f"{where}: dims needs {index_count} integers, got {len(dims)}"
+                    f"{where}: dims needs {index_count} integers, got {len(fields)}"
                 )
             try:
-                positive = min(map(int, dims)) >= 1
+                dims = tuple(map(int, fields))
             except ValueError as exc:
                 raise StateFormatError(f"{where}: bad dims: {exc}") from None
-            if not positive:
+            if min(dims) < 1:
                 raise StateFormatError(f"{where}: dims must be positive")
-            has_dims = True
-        elif not has_dims:
+        elif dims is None:
             raise StateFormatError(f"{where}: record appears before the dims line")
         elif len(tokens) != index_count + 2:
             raise StateFormatError(
@@ -123,7 +112,7 @@ def _first_fault(lines, source: str, index_count: int):
         else:
             *index, re, im = tokens
             try:
-                list(map(int, index))
+                index_rows.append(list(map(int, index)))
                 value = complex(float(re), float(im))
             except ValueError as exc:
                 raise StateFormatError(f"{where}: bad record: {exc}") from None
@@ -131,16 +120,19 @@ def _first_fault(lines, source: str, index_count: int):
                 raise StateFormatError(
                     f"{where}: bad record: amplitude {re} {im} is not finite"
                 )
-    if has_dims:
-        raise AssertionError("the bulk read rejected a well-formed document")
-    raise StateFormatError(f"{source}: missing dims line")
+            values.append(value)
+    if dims is None:
+        raise StateFormatError(f"{source}: missing dims line")
+    # Indices past int64 are out of range; an object array keeps them as ints.
+    indices = np.array(index_rows, dtype=object).reshape(-1, index_count).T
+    return dims, indices, np.array(values, dtype=np.complex128)
 
 
-def _fill(dims, indices, values, linenos, source: str) -> np.ndarray:
+def _fill(dims, indices, values, body, source: str) -> np.ndarray:
     """Scatter the records into a zero array after range and duplicate checks.
 
-    The first record that is out of range, or repeats the index of an
-    earlier record, is reported with its line.
+    The first record that is out of range, or repeats the index of an earlier
+    record, is reported with its line, counted in ``body`` only then.
     """
     out = np.zeros(dims, dtype=np.complex128)
     outside = (indices < 1) | (indices > np.array(dims)[:, None])
@@ -153,11 +145,12 @@ def _fill(dims, indices, values, linenos, source: str) -> np.ndarray:
     if bad.any():
         pos = int(np.argmax(bad))
         idx = tuple(int(i) for i in indices[:, pos])
+        records = [n for n, line in enumerate(body, 1) if line.split("#", 1)[0].strip()]
         if inside[pos]:
-            raise StateFormatError(f"{source}:{linenos[pos]}: duplicate index {idx}")
+            raise StateFormatError(f"{source}:{records[pos]}: duplicate index {idx}")
         component = int(np.argmax(outside[:, pos])) + 1
         raise StateFormatError(
-            f"{source}:{linenos[pos]}: index {idx} out of range for dims {dims} "
+            f"{source}:{records[pos]}: index {idx} out of range for dims {dims} "
             f"(component {component})"
         )
     out.reshape(-1)[flat] = values
@@ -210,6 +203,8 @@ def _read_state(text: str, strict: bool, source: str) -> TripartiteState:
 
 def _document(array: np.ndarray, label: str | None) -> str:
     """Header lines, then one record per nonzero entry of ``array`` in index order."""
+    if label and label.splitlines() != [label]:
+        raise ValueError(f"a label cannot hold a line break: {label!r}")
     index = np.nonzero(array)
     values = array[index]
     columns = [(i + 1).tolist() for i in index]

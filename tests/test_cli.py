@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triequiv.cli import _EXIT_FOR_VERDICT, _decision_report, main
+from triequiv.cli import _EXIT_FOR_VERDICT, _decision_report, _parser, main
 from triequiv.equivalence import Verdict, decide_equivalence
 from triequiv.fileio import load_state, serialize_state
 from triequiv.states import (
@@ -493,6 +493,28 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.startswith("usage: triequiv")
         assert "invalid choice" in captured.err and "factorize" in captured.err
+
+    def test_the_reused_parser_carries_nothing_between_calls(
+        self, golden_files, tmp_path, capsys
+    ):
+        # main parses every call with one parser built once per process.
+        assert _parser() is _parser()
+        assert main(["check", "--json", *golden_files]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "equivalent-d1"
+        assert main(["check", *golden_files]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"{golden_files[0]} vs {golden_files[1]}: equivalent-d1\n")
+        off = tmp_path / "off.state"
+        off.write_text("dims: 2 2 2\n1 1 1 0.5 0\n")
+        assert main(["check", "--strict", str(off), str(off)]) == 65
+        assert "strict mode is on" in capsys.readouterr().err
+        with pytest.warns(RuntimeWarning, match="renormalizing"):
+            assert main(["check", str(off), str(off)]) == 0
+        assert capsys.readouterr().out.startswith(f"{off} vs {off}: equivalent-d1\n")
+        assert main(["check", "--gauge-iters", "-1", *golden_files]) == 64
+        assert "usage: triequiv check" in capsys.readouterr().err
+        assert main(["check", *golden_files]) == 0
+        assert capsys.readouterr().out == text
 
     def test_unknown_flag(self, golden_files):
         assert main(["check", *golden_files, "--bogus"]) == 64

@@ -1,10 +1,13 @@
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triequiv import fileio
 from triequiv.fileio import (
     StateFormatError,
     load_state,
@@ -452,6 +455,146 @@ class TestRoundTripProperty:
         assert document == oracle_document(mat, label="m")
         text = _decorate(document, data)
         assert np.array_equal(parse_matrix(text), mat)
+
+
+class TestLabels:
+    @pytest.mark.parametrize(
+        "label",
+        ["a\n1 1 1 1 0", "x\u2028dims: 2 2 2", "a\r", "a\x0cb", "a\x1eb", "a\x85b"],
+    )
+    def test_a_label_with_a_line_break_is_refused(self, label):
+        # Written as it is, the label's second line would be read as a record
+        # or a header, and the round trip would fail.
+        state, _ = golden_pair_222()
+        with pytest.raises(ValueError, match="line break"):
+            serialize_state(state, label=label)
+        with pytest.raises(ValueError, match="line break"):
+            serialize_matrix(np.eye(2), label=label)
+
+    @pytest.mark.parametrize("label", ["a # not a comment", "ψ ok", "tab\tinside", "x:y"])
+    def test_other_labels_round_trip(self, label):
+        state = random_state((2, 3, 2), seed=4)
+        text = serialize_state(state, label=label)
+        assert np.array_equal(parse_state(text, strict=True).amplitudes, state.amplitudes)
+
+
+def _perturbed(document: str, perturbations, data) -> str:
+    """``document`` (label, dims, records) with each of ``perturbations``.
+
+    Field and token perturbations change the last record; the layout ones
+    then move, indent, comment and separate the lines.
+    """
+    lines = document.splitlines()
+    head = 2 if lines[0].startswith("label:") else 1
+    tokens = lines[-1].split()
+    for perturbation in perturbations:
+        if head == len(lines) or perturbation in LAYOUTS:
+            continue  # no record is left to change, or a layout for below
+        if perturbation == "no-records":
+            del lines[head:]
+            continue
+        if perturbation == "field-count":
+            tokens = data.draw(st.sampled_from([tokens[:-1], tokens + ["0"]]))
+        elif perturbation in ("nan", "1e400"):
+            tokens[data.draw(st.sampled_from([-2, -1]))] = perturbation
+        else:
+            axis = data.draw(st.integers(0, len(tokens) - 3))
+            tokens[axis] = {
+                "plus": "+" + tokens[axis],
+                "underscore": "0_" + tokens[axis],
+                "non-ascii": data.draw(st.sampled_from(NON_ASCII)),
+                "past-int64": data.draw(st.sampled_from(["9223372036854775808", "1" * 25])),
+            }[perturbation]
+        lines[-1] = " ".join(tokens)
+    if "label-after" in perturbations and head == 2:
+        lines = lines[1:] + [lines[0] + " # moved"]
+    if "indent" in perturbations:
+        lines = ["   " + line if ":" in line else line for line in lines]
+    if "comments" in perturbations:
+        tail = data.draw(st.sampled_from(["  # tail", "#", "\t# \u03c8"]))
+        lines = ["# top", *[line + tail for line in lines], "#"]
+    if "blank" in perturbations:
+        blank = data.draw(st.sampled_from(["", "  ", "\t"]))
+        lines.insert(data.draw(st.integers(0, len(lines))), blank)
+    newline = "\r\n" if "crlf" in perturbations else "\n"
+    return newline.join(lines) + newline
+
+
+LAYOUTS = ["crlf", "blank", "comments", "label-after", "indent"]
+PERTURBATIONS = LAYOUTS + ["no-records", "field-count", "plus", "underscore"]
+PERTURBATIONS += ["non-ascii", "past-int64", "nan", "1e400"]
+# Arabic-indic and fullwidth digits, which int() reads; numpy reads "\u01fe1" as 4621.
+NON_ASCII = ["\u0661", "\uff11", "\u01fe1", "1\u0660"]
+
+
+def _result(text, matrix):
+    """The array's shape and bits, or the error and its message; no warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if matrix:
+                out = parse_matrix(text, source="m.txt")
+            else:
+                out = parse_state(text, strict=True, source="s.state").amplitudes
+        except ValueError as exc:  # a StateFormatError, or dims numpy cannot allocate
+            return type(exc), str(exc)
+    return out.shape, out.tobytes()
+
+
+class TestTwoReaders:
+    """np.loadtxt and the line walk read every document alike."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 4)] * 3),
+        matrix=st.booleans(),
+        label=st.sampled_from([None, "p", "a # b"]),
+        perturbations=st.lists(st.sampled_from(PERTURBATIONS), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_loadtxt_and_the_walk_agree(self, dims, matrix, label, perturbations, data):
+        if matrix:
+            array = random_unitary(dims[0], seed=sum(dims))[:, : dims[1]]
+            document = serialize_matrix(array, label=label)
+        else:
+            document = serialize_state(random_state(dims, seed=sum(dims)), label=label)
+        document = _perturbed(document, perturbations, data)
+        both = _result(document, matrix)
+        with mock.patch.object(fileio.np, "loadtxt", side_effect=ValueError):
+            walk = _result(document, matrix)
+        assert both == walk
+
+    def test_a_plain_document_is_read_by_loadtxt(self):
+        state = random_state((3, 4, 2), seed=8)
+        text = serialize_state(state, label="a # b")
+        decorated = "\r\n".join(["# c", *text.splitlines()[1:], "label: late", ""])
+        with mock.patch.object(fileio, "_walk", side_effect=AssertionError):
+            for document in (text, decorated):
+                parsed = parse_state(document, strict=True)
+                assert np.array_equal(parsed.amplitudes, state.amplitudes)
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("0_1", None),
+            ("\u0661", None),  # ARABIC-INDIC DIGIT ONE, which int() reads
+            # numpy's integer reader takes "\u01fe1" for 4621; int() refuses it.
+            ("\u01fe1", "s:2: bad record: invalid literal for int() with base 10: '\u01fe1'"),
+            (
+                "9223372036854775808",
+                "s:2: index (9223372036854775808, 1, 1) out of range for dims (2, 1, 1) "
+                "(component 1)",
+            ),
+        ],
+    )
+    def test_the_walk_reads_what_loadtxt_declines(self, token, message):
+        text = f"dims: 2 1 1\n{token} 1 1  1 0\n"
+        if message is None:
+            assert parse_state(text).amplitudes.tolist() == [[[1]], [[0]]]
+        else:
+            with pytest.raises(StateFormatError) as err:
+                parse_state(text, source="s")
+            assert str(err.value) == message
 
 
 class TestMatrixFiles:
