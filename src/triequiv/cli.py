@@ -252,6 +252,7 @@ def _cmd_random(args) -> int:
 # --------------------------------------------------------------------- wiring
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="triequiv",
@@ -310,13 +311,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-# Built once per process and reused: parse_args keeps no state between calls.
-_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -38,6 +38,13 @@ INVARIANTS_SCHEMA = "triequiv.invariants/1"
 class StateFormatError(ValueError):
     """Malformed state or matrix document; message carries source:line."""
 
+with warnings.catch_warnings():  # once, at import: older numpy reads the int64
+    warnings.simplefilter("ignore")  # field "1.0" via float, which the walk declines
+    try:
+        _EXACT_INTS = not np.loadtxt(["1.0"], np.int64)  # reached on older numpy
+    except ValueError:
+        _EXACT_INTS = True
+
 
 def _scan(text: str, source: str, index_count: int):
     """Read a document: header checks, one ``np.loadtxt``, else :func:`_walk`."""
@@ -55,28 +62,24 @@ def _scan(text: str, source: str, index_count: int):
         dims = tuple(map(int, lines[top].split("#", 1)[0].split(":", 1)[1].split()))
         if len(heads) > 2 or len(dims) != index_count or min(dims) < 1:
             raise ValueError
-        if any(line.split("#", 1)[0].split() for line in body[:top]):
-            raise ValueError  # a record before the dims line
-        if not text.isascii() and not "".join(body).isascii():
+        rows = (row for row, line in enumerate(body) if line.split("#", 1)[0].strip())
+        if next(rows, -1) < top or not _EXACT_INTS:
+            raise ValueError  # a record before dims, or none: numpy would warn
+        if not text.isascii() and not all(r.split("#", 1)[0].isascii() for r in body):
             raise ValueError  # numpy reads "\u01fe1" as the index 4621
         record = [("index", np.int64, (index_count,)), ("value", np.float64, (2,))]
-        with warnings.catch_warnings():  # declines no record, or "1.0" on old numpy
-            warnings.simplefilter("error")
-            records = np.loadtxt(body[top + 1 :], record, ndmin=1)
+        records = np.loadtxt(body[top + 1 :], record, ndmin=1)
         values = np.ascontiguousarray(records["value"]).view(np.complex128)[:, 0]
         if not np.isfinite(values).all():
             raise ValueError
         indices = records["index"].T
-    except (ValueError, Warning):
+    except ValueError:
         dims, indices, values = _walk(lines, source, index_count)
     return _fill(dims, indices, values, body, source)
 
 
 def _walk(lines, source: str, index_count: int):
-    """Read the lines in order: ``(dims, indices, values)``.
-
-    Raises the first line-local fault, else the missing ``dims:`` line.
-    """
+    """Read line by line to ``(dims, indices, values)``; raises the first fault met."""
     has_label, dims, index_rows, values = False, None, [], []
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0]

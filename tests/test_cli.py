@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triequiv.cli import _EXIT_FOR_VERDICT, _decision_report, _parser, main
+from triequiv.cli import _EXIT_FOR_VERDICT, _decision_report, build_parser, main
 from triequiv.equivalence import Verdict, decide_equivalence
 from triequiv.fileio import load_state, serialize_state
 from triequiv.states import (
@@ -498,7 +498,7 @@ class TestUsage:
         self, golden_files, tmp_path, capsys
     ):
         # main parses every call with one parser built once per process.
-        assert _parser() is _parser()
+        assert build_parser() is build_parser()
         assert main(["check", "--json", *golden_files]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "equivalent-d1"
         assert main(["check", *golden_files]) == 0

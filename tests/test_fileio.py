@@ -504,6 +504,7 @@ def _perturbed(document: str, perturbations, data) -> str:
                 "underscore": "0_" + tokens[axis],
                 "non-ascii": data.draw(st.sampled_from(NON_ASCII)),
                 "past-int64": data.draw(st.sampled_from(["9223372036854775808", "1" * 25])),
+                "float-index": tokens[axis] + ".0",
             }[perturbation]
         lines[-1] = " ".join(tokens)
     if "label-after" in perturbations and head == 2:
@@ -522,7 +523,7 @@ def _perturbed(document: str, perturbations, data) -> str:
 
 LAYOUTS = ["crlf", "blank", "comments", "label-after", "indent"]
 PERTURBATIONS = LAYOUTS + ["no-records", "field-count", "plus", "underscore"]
-PERTURBATIONS += ["non-ascii", "past-int64", "nan", "1e400"]
+PERTURBATIONS += ["non-ascii", "past-int64", "float-index", "nan", "1e400"]
 # Arabic-indic and fullwidth digits, which int() reads; numpy reads "\u01fe1" as 4621.
 NON_ASCII = ["\u0661", "\uff11", "\u01fe1", "1\u0660"]
 
@@ -566,12 +567,45 @@ class TestTwoReaders:
 
     def test_a_plain_document_is_read_by_loadtxt(self):
         state = random_state((3, 4, 2), seed=8)
-        text = serialize_state(state, label="a # b")
+        text = serialize_state(state, label="a # b \u03c8")
         decorated = "\r\n".join(["# c", *text.splitlines()[1:], "label: late", ""])
+        commented = text.replace("\n", " # \u03c8 \u0661\n")  # non-ASCII comments
         with mock.patch.object(fileio, "_walk", side_effect=AssertionError):
-            for document in (text, decorated):
+            for document in (text, decorated, commented):
                 parsed = parse_state(document, strict=True)
                 assert np.array_equal(parsed.amplitudes, state.amplitudes)
+
+    def test_reading_leaves_the_warning_filters_alone(self):
+        # Before Python 3.14 the filters are process-wide, so a parse that
+        # changed them would change how other threads' warnings behave.
+        state = random_state((2, 3, 2), seed=6)
+        text = serialize_state(state)
+        refuse = mock.Mock(side_effect=AssertionError("the warning filters were changed"))
+        names = ("catch_warnings", "simplefilter", "filterwarnings", "resetwarnings")
+        with mock.patch.multiple(warnings, **dict.fromkeys(names, refuse)):
+            amplitudes = parse_state(text).amplitudes
+            errors = []
+            for document in ("dims: 2 2 2\n", "dims: 2 2 2\n1.0 1 1  1 0\n"):
+                with pytest.raises(StateFormatError) as err:
+                    parse_state(document)
+                errors.append(str(err.value))
+            empty = parse_matrix("dims: 2 2\n# none\n")
+        assert refuse.call_count == 0
+        assert np.array_equal(amplitudes, state.amplitudes) and not empty.any()
+        assert "zero state" in errors[0] and "bad record" in errors[1]
+
+    def test_a_numpy_that_reads_integers_via_floats_uses_the_walk(self):
+        # Older numpy reads the int64 field "1.0" as 1 with a DeprecationWarning;
+        # the walk refuses it, so on such a numpy every document takes the walk.
+        assert fileio._EXACT_INTS  # this numpy refuses it
+        state = random_state((2, 2, 3), seed=7)
+        text = serialize_state(state)
+        walk = mock.Mock(wraps=fileio._walk)
+        with mock.patch.multiple(fileio, _EXACT_INTS=False, _walk=walk):
+            assert np.array_equal(parse_state(text).amplitudes, state.amplitudes)
+            with pytest.raises(StateFormatError, match="s:2: bad record: invalid literal"):
+                parse_state("dims: 2 2 2\n1.0 1 1  1 0\n", source="s")
+        assert walk.call_count == 2
 
     @pytest.mark.parametrize(
         "token, message",
