@@ -38,6 +38,7 @@ INVARIANTS_SCHEMA = "triequiv.invariants/1"
 class StateFormatError(ValueError):
     """Malformed state or matrix document; message carries source:line."""
 
+
 with warnings.catch_warnings():  # once, at import: older numpy reads the int64
     warnings.simplefilter("ignore")  # field "1.0" via float, which the walk declines
     try:
