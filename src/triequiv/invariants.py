@@ -20,17 +20,18 @@ def singular_spectrum(state: TripartiteState, cut: Cut) -> np.ndarray:
 
 
 def power_sums(spectrum, max_order: int) -> tuple[float, ...]:
-    """Tr(rho^alpha), alpha = 1..max_order, from the singular values of rho's cut."""
+    """Tr(rho^alpha), alpha = 1..max_order, from the singular values of rho's cut.
+
+    The reports print min(K, M, N) orders, which need not fix the spectrum: cut p
+    has up to min(d_p, KMN/d_p) eigenvalues (max_order = d_p fixes it).
+    """
     return tuple(float(np.sum(np.square(spectrum) ** a)) for a in range(1, max_order + 1))
 
 
 def power_sum_invariants(
     state: TripartiteState, cut: Cut, max_order: int | None = None
 ) -> tuple[float, ...]:
-    """Power sums Tr(rho^alpha) of the cut's reduction, alpha = 1..max_order.
-
-    Defaults to max_order = min(K, M, N).
-    """
+    """:func:`power_sums` of the cut's reduction; max_order defaults to min(K, M, N)."""
     if max_order is None:
         max_order = min(state.dims)
     if max_order < 1:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 #: Largest allowed deviation of a state's squared norm from one.
 NORM_TOL = 1e-12
@@ -28,20 +28,21 @@ def check_tolerance(name: str, value: float) -> float:
 class Tolerances:
     """Bundle of the tolerances used by the equivalence decision pipeline.
 
-    All comparisons are absolute; every quantity involved lives in [0, 1]
-    up to a dimension factor.  Every field must pass :func:`check_tolerance`.
+    All comparisons are absolute, of quantities in [0, 1] up to a dimension
+    factor.  Only ``spectra`` and ``reconstruction`` are settable (``check``'s
+    ``--spec-tol`` and ``--tol``); each must pass :func:`check_tolerance`.
     """
 
-    #: Largest allowed max-entry deviation of U @ U† from the identity.
-    unitarity: float = 1e-10
+    #: Largest allowed max-entry deviation of U @ U† from the identity; fixed.
+    unitarity: float = field(default=1e-10, init=False)
     #: Largest allowed entrywise deviation between two singular spectra.
     spectra: float = 1e-9
     #: Largest allowed Frobenius/vector residual for a verified certificate.
     reconstruction: float = 1e-9
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            check_tolerance(f"{field.name} tolerance", getattr(self, field.name))
+        for item in fields(self):
+            check_tolerance(f"{item.name} tolerance", getattr(self, item.name))
 
 
 DEFAULT_TOLERANCES = Tolerances()

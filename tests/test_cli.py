@@ -235,6 +235,19 @@ class TestCheckCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["tolerances"] == dataclasses.asdict(Tolerances())
 
+    def test_each_settable_tolerance_is_a_check_option(self, golden_files, capsys):
+        # Tolerances offers to set only what check sets, with the same default.
+        options = {"spectra": "--spec-tol", "reconstruction": "--tol"}
+        settable = [field for field in dataclasses.fields(Tolerances) if field.init]
+        assert sorted(field.name for field in settable) == sorted(options)
+        defaults = build_parser().parse_args(["check", *golden_files])
+        for field in settable:
+            option = options[field.name]
+            assert getattr(defaults, option[2:].replace("-", "_")) == field.default
+            assert main(["check", *golden_files, "--json", option, "3e-9"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["tolerances"][field.name] == 3e-9
+
     def test_multiple_pairs_and_jobs(self, golden_files, tmp_path, capsys):
         p1 = tmp_path / "p.state"
         p2 = tmp_path / "g.state"

@@ -1,9 +1,10 @@
+import dataclasses
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from triequiv import equivalence
@@ -29,6 +30,9 @@ from triequiv.states import (
 from triequiv.tolerances import Tolerances
 from util import (
     basis_state,
+    cayley_unitary,
+    exact_lu_pair,
+    gaussian_skew,
     ghz_state,
     golden_pair_222,
     golden_pair_223,
@@ -421,11 +425,22 @@ def test_lu_rotated_pairs_are_never_refuted(dims, trial, rank_deficient, log_spe
         assert abs(left - right) > 1e-9
 
 
-@pytest.mark.parametrize("field", ["unitarity", "spectra", "reconstruction"])
+@pytest.mark.parametrize("field", ["spectra", "reconstruction"])
 @pytest.mark.parametrize("value", [-1.0, 0.0, np.inf, np.nan])
 def test_tolerances_must_be_finite_and_positive(field, value):
     with pytest.raises(ValueError, match=field):
         Tolerances(**{field: value})
+
+
+def test_the_unitarity_bound_is_fixed():
+    with pytest.raises(TypeError, match="unitarity"):
+        Tolerances(unitarity=1e-9)
+    assert Tolerances().unitarity == 1e-10
+    assert dataclasses.asdict(Tolerances()) == {
+        "unitarity": 1e-10,
+        "spectra": 1e-9,
+        "reconstruction": 1e-9,
+    }
 
 
 def test_infinite_tolerances_do_not_certify_an_unrelated_pair():
@@ -438,13 +453,19 @@ def test_infinite_tolerances_do_not_certify_an_unrelated_pair():
         )
 
 
-def test_unitarity_tolerance_controls_the_certificate():
+def test_unitarity_tolerance_controls_the_certificate(monkeypatch):
+    # The fixed bound 1e-10 still gates the certificate: factors reported
+    # past it are refused, factors within it accepted.
     state, rotated, _ = _lu_pair((3, 4, 5), 0)
-    assert decide_equivalence(state, rotated).verdict is Verdict.EQUIVALENT_D1
-    decision = decide_equivalence(state, rotated, Tolerances(unitarity=1e-300))
+    monkeypatch.setattr(equivalence, "unitarity_defect", lambda u: 2e-10)
+    decision = decide_equivalence(state, rotated)
     assert decision.verdict is Verdict.INCONCLUSIVE
     assert decision.local_factors is None
     assert decision.residual <= 1e-9
+    monkeypatch.setattr(equivalence, "unitarity_defect", lambda u: 5e-11)
+    decision = decide_equivalence(state, rotated)
+    assert decision.verdict is Verdict.EQUIVALENT_D1
+    assert decision.local_factors is not None
 
 
 def test_procrustes_is_reached_only_through_refit(monkeypatch):
@@ -796,6 +817,50 @@ def test_degenerate_lu_pairs_are_certified(kind):
             factors = (random_unitary(d, rng) for d in kind)
             rotated = apply_local_unitaries(state, *factors)
         _assert_certified(decide_equivalence(state, rotated), state, rotated)
+
+
+def test_cayley_unitaries_are_exactly_unitary():
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3, 4):
+        re, im = cayley_unitary(gaussian_skew(rng, d))
+        # U U^dagger = (re re^t + im im^t) + i (im re^t - re im^t), in Fractions.
+        assert (re.dot(re.T) + im.dot(im.T) == np.eye(d)).all()
+        assert (im.dot(re.T) - re.dot(im.T) == 0).all()
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    dims=st.sampled_from([(3, 3, 3), (2, 3, 4), (4, 4, 4)]),
+    seed=st.integers(0, 2**16),
+)
+def test_exact_lu_pairs_are_certified(dims, seed):
+    # Exact unitaries on a Gaussian-integer tensor: the rounding to float is
+    # the pair's only error.
+    rng = np.random.default_rng(seed)
+    tensor = rng.integers(-5, 6, dims) + 1j * rng.integers(-5, 6, dims)
+    assume(tensor.any())
+    state, rotated = exact_lu_pair(tensor, [gaussian_skew(rng, d) for d in dims])
+    _assert_certified(decide_equivalence(state, rotated), state, rotated)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_exact_rank_two_lu_pairs_are_never_refuted(seed):
+    # The sum of two rational product terms: every cut has rank <= 2 of 3, so
+    # its Gram spectrum cannot vouch for itself and the cut falls back.
+    rng = np.random.default_rng(seed)
+    vectors = rng.integers(-3, 4, (2, 3, 3)) + 1j * rng.integers(-3, 4, (2, 3, 3))
+    tensor = sum(np.einsum("i,j,k->ijk", *terms) for terms in vectors)
+    assume(tensor.any())
+    state, rotated = exact_lu_pair(tensor, [gaussian_skew(rng, 3) for _ in range(3)])
+    for cut in Cut:
+        _, spectra = cut_svd(np.stack((state.amplitudes, rotated.amplitudes)), cut)
+        for spectrum in spectra:
+            assert gram_delta(spectrum[0], spectrum[-1], (3, 9)) is None
+    decision = decide_equivalence(state, rotated)
+    assert decision.verdict is not Verdict.INVARIANTS_DIFFER
+    if decision.verdict is Verdict.EQUIVALENT_D1:
+        _assert_certified(decision, state, rotated)
 
 
 def _locally_maximally_mixed(dims, rng):

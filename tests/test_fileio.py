@@ -311,6 +311,29 @@ class TestOneNormaliser:
         amps[0, 0, 0], amps[1, 2, 1], amps[1, 1, 0] = 1, 1 + 1j, -1j
         self._assert_same_state(amps * scale)
 
+    @pytest.mark.parametrize("offset", [-2.0, -0.5, 0.5, 2.0])
+    def test_norm_boundary(self, offset, tmp_path):
+        # TripartiteState's norm test decides: within NORM_TOL the records are
+        # kept bit for bit with no warning, past it renormalized or refused.
+        amps = random_state((2, 3, 2), 7).amplitudes * np.sqrt(1 + offset * NORM_TOL)
+        sq_norm = np.sum(np.abs(amps) ** 2)
+        assert abs(sq_norm - 1 - offset * NORM_TOL) < 0.05 * NORM_TOL
+        path = tmp_path / "edge.state"
+        path.write_text(_exact_records(amps))
+        if abs(offset) < 1:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                parsed = load_state(path, strict=True)
+            assert np.array_equal(parsed.amplitudes, amps)
+            return
+        with pytest.warns(RuntimeWarning, match="renormalizing") as record:
+            parsed = load_state(path)
+        assert [w.filename for w in record] == [__file__]
+        built = TripartiteState.from_unnormalized(amps)
+        assert np.array_equal(parsed.amplitudes, built.amplitudes)
+        with pytest.raises(StateFormatError, match="strict mode is on"):
+            load_state(path, strict=True)
+
     def test_subnormal_sum_strict_message(self):
         text = "dims: 2 1 1\n1 1 1 2e-162 0\n2 1 1 0 2e-162\n"
         with pytest.raises(StateFormatError) as caught:

@@ -1,5 +1,8 @@
 """Shared reference states, gates, and loop-based oracles for the tests."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from triequiv.equivalence import _PHASE_CUTOFF, _PHASE_TOL
@@ -208,3 +211,83 @@ def oracle_solve_phase_product(chi, weight, cutoff=_PHASE_CUTOFF, tol=_PHASE_TOL
         if abs(chi[s, p, q] - beta[s] * phi[p] * psi[q]) > tol:
             return None
     return beta, phi, psi
+
+
+# Exact LU pairs.  A complex matrix or tensor of rationals is a pair (re, im)
+# of object arrays of Fractions; numpy's dot and tensordot add and multiply
+# them exactly.
+
+
+def _exact(array):
+    """A numpy array of integers or rationals as an object array of Fractions."""
+    return np.vectorize(Fraction, otypes=[object])(array)
+
+
+def _inverse(m):
+    """Exact inverse of a square object array of Fractions, by Gauss-Jordan."""
+    n = len(m)
+    aug = np.concatenate([m, _exact(np.eye(n, dtype=int))], axis=1)
+    for col in range(n):
+        pivot = next(row for row in range(col, n) if aug[row, col] != 0)
+        aug[[col, pivot]] = aug[[pivot, col]]
+        aug[col] = aug[col] / aug[col, col]
+        for row in range(n):
+            if row != col and aug[row, col] != 0:
+                aug[row] = aug[row] - aug[row, col] * aug[col]
+    return aug[:, n:]
+
+
+def cayley_unitary(skew):
+    """The exact unitary (I - A)(I + A)^-1 of a skew-Hermitian Gaussian-integer A.
+
+    Computed in the real form [[X, -Y], [Y, X]] of X + iY: A's is real
+    antisymmetric, so I + A is invertible, and the form carries products and
+    inverses over.  Returns the pair (re, im) of object arrays of Fractions.
+    """
+    d = len(skew)
+    x, y = skew.real.astype(int), skew.imag.astype(int)
+    form = _exact(np.block([[x, -y], [y, x]]))
+    eye = _exact(np.eye(2 * d, dtype=int))
+    u = (eye - form).dot(_inverse(eye + form))
+    return u[:d, :d], u[d:, :d]
+
+
+def _mode_product(u, tensor, axis):
+    """Exactly, the pair (re, im) ``u`` applied to ``axis`` of the pair ``tensor``."""
+
+    def dot(x, y):
+        return np.moveaxis(np.tensordot(x, y, axes=(1, axis)), 0, axis)
+
+    (ur, ui), (tr, ti) = u, tensor
+    return dot(ur, tr) - dot(ui, ti), dot(ur, ti) + dot(ui, tr)
+
+
+def _rounded(pair):
+    """An exact pair (re, im) rounded to complex doubles, each part once."""
+    out = np.empty(pair[0].shape, dtype=complex)
+    out.real, out.imag = (np.vectorize(float, otypes=[float])(part) for part in pair)
+    return out
+
+
+def exact_lu_pair(tensor, skews):
+    """A Gaussian-integer tensor and its image under exact Cayley unitaries.
+
+    ``tensor`` is a complex array of integer parts; ``skews`` holds one
+    skew-Hermitian Gaussian-integer matrix per party.  Both tensors are
+    divided by one rational close to the first's norm, so they are states,
+    and rounded to float only then: the pair's sole error is that rounding.
+    """
+    scale = Fraction(math.sqrt(int(np.sum(tensor.real**2 + tensor.imag**2))))
+    first = (_exact(tensor.real.astype(int)), _exact(tensor.imag.astype(int)))
+    second = first
+    for axis, skew in enumerate(skews):
+        second = _mode_product(cayley_unitary(skew), second, axis)
+    return tuple(
+        TripartiteState(_rounded((re / scale, im / scale))) for re, im in (first, second)
+    )
+
+
+def gaussian_skew(rng, d, bound=2):
+    """A d x d skew-Hermitian matrix B - B^dagger with Gaussian-integer B."""
+    re, im = rng.integers(-bound, bound + 1, (2, d, d))
+    return (re - re.T) + 1j * (im + im.T)
