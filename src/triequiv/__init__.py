@@ -3,18 +3,15 @@
 The package computes spectral invariants of single-cut reductions, settles
 pairs by searching local unitaries between each state's eigenbases of its
 one-party reductions, and combines both into a sound decision procedure with
-verifiable certificates.  The paper's SVD certificates and realignment test
-for Kronecker products are kept as library functions.
+verifiable certificates.  Of the paper's per-cut machinery only the
+realignment test for Kronecker products is kept, as library functions.
 """
 
 from .equivalence import (
-    BipartiteCertificate,
-    CertificateError,
     PhaseObstruction,
     SpectrumWitness,
     TripartiteDecision,
     Verdict,
-    bipartite_equivalent,
     decide_equivalence,
     gauge_search,
 )
@@ -55,8 +52,6 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteCertificate",
-    "CertificateError",
     "Cut",
     "DEFAULT_TOLERANCES",
     "KronFactorization",
@@ -68,7 +63,6 @@ __all__ = [
     "TripartiteState",
     "Verdict",
     "apply_local_unitaries",
-    "bipartite_equivalent",
     "decide_equivalence",
     "gauge_search",
     "is_unitarily_decomposable",

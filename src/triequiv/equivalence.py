@@ -65,13 +65,9 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class SpectrumWitness:
-    """Spectrum position at which two states (or two matrices) provably differ.
+    """Spectrum position at which two states' singular spectra on ``cut`` differ."""
 
-    ``cut`` names the cut whose singular spectra differ; it is None when two
-    plain matrices were compared.
-    """
-
-    cut: Cut | None
+    cut: Cut
     index: int
     left: float
     right: float
@@ -79,20 +75,6 @@ class SpectrumWitness:
     @property
     def deviation(self) -> float:
         return abs(self.left - self.right)
-
-
-@dataclass(frozen=True)
-class BipartiteCertificate:
-    """Unitary pair (u, v) with b = u @ a @ v.T verified to ``residual``."""
-
-    u: np.ndarray
-    v: np.ndarray
-    sigma: np.ndarray
-    residual: float
-
-
-class CertificateError(RuntimeError):
-    """Certificate construction failed to verify; the comparison is undecided."""
 
 
 @dataclass(frozen=True)
@@ -177,24 +159,6 @@ def _refit(source, target, p: int, g: list) -> tuple[np.ndarray, float]:
     return g_p, float(np.linalg.norm(t - g_p @ x))
 
 
-def _spectrum_witness(
-    sa, sb, tol: float, cut: Cut | None, shape: tuple[int, int]
-) -> SpectrumWitness | None:
-    """Witness at the largest deviation of two SVD spectra, if that exceeds ``tol``.
-
-    The deviation must also exceed the rounding of the SVDs of two ``shape``
-    matrices, (rows + cols) eps sigma_1 each (:func:`cut_rounding`), so that
-    no tolerance however small refutes a pair on rounding alone.  Over LU
-    pairs from 8^3 to 2 x 48 x 48, rank-deficient ones included, the
-    deviations seen stayed below 0.16 of it.
-    """
-    worst = int(np.argmax(np.abs(sa - sb)))
-    rounding = sum(shape) * np.finfo(float).eps * (sa[0] + sb[0])
-    if abs(sa[worst] - sb[worst]) > tol + rounding:
-        return SpectrumWitness(cut, worst, float(sa[worst]), float(sb[worst]))
-    return None
-
-
 def _cut_witness(
     amplitudes: np.ndarray, cut: Cut, sa, sb, tol: float, shape: tuple[int, int]
 ) -> SpectrumWitness | None:
@@ -204,49 +168,24 @@ def _cut_witness(
     index, so where the largest deviation plus both bounds is within ``tol``
     the exact spectra differ by at most ``tol`` and no SVD could refute:
     None, with no further factorisation, as for LU pairs at the default
-    tolerance unless a cut's bound nears it.  Otherwise the cut of both states is factored again by one
-    SVD and :func:`_spectrum_witness` decides.  A refutation so costs the
-    Gram route nothing at any tolerance: it needs the deviation an SVD
-    needs, never the Gram allowance on top.
+    tolerance unless a cut's bound nears it.  Otherwise one SVD factors the
+    cut of both states again, and the witness is at the largest deviation if
+    that exceeds ``tol`` plus the SVDs' rounding, (rows + cols) eps sigma_1
+    each, so no tolerance however small refutes on rounding alone (over LU
+    pairs from 8^3 to 2 x 48 x 48, rank-deficient ones included, deviations
+    stayed below 0.16 of it).  A refutation so costs the Gram route nothing
+    at any tolerance: it needs the deviation an SVD needs, never the Gram
+    allowance on top.
     """
     rounding = cut_rounding(sa, shape) + cut_rounding(sb, shape)
     if float(np.abs(sa - sb).max()) + rounding <= tol:
         return None
     sa, sb = np.linalg.svd(unfold(amplitudes, tuple(Cut).index(cut)), compute_uv=False)
-    return _spectrum_witness(sa, sb, tol, cut, shape)
-
-
-def bipartite_equivalent(
-    a: np.ndarray, b: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES
-) -> BipartiteCertificate | SpectrumWitness:
-    """Certificate (u, v) with b = u @ a @ v.T, or the spectral witness against it.
-
-    Both matrices are decomposed as a = ua Da vha, b = ub Db vhb with
-    descending singular values.  If the spectra deviate anywhere by more than
-    ``tols.spectra`` the matrices are inequivalent and the witnessing index
-    is returned, with no cut.  Otherwise u = ub @ ua† and v = conj(vb) @ va^t
-    give u @ a @ v.T = ub Da vhb, which is b up to the spectral deviation
-    whatever bases the two SVDs chose inside degenerate groups.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-    ua, sa, vha = np.linalg.svd(a)
-    ub, sb, vhb = np.linalg.svd(b)
-    if (witness := _spectrum_witness(sa, sb, tols.spectra, None, a.shape)) is not None:
-        return witness
-
-    u_cert = ub @ ua.conj().T
-    v_cert = vhb.T @ vha.conj()
-    residual = float(np.linalg.norm(b - u_cert @ a @ v_cert.T))
-    if residual > tols.reconstruction:
-        raise CertificateError(
-            f"certificate residual {residual:.3e} exceeds {tols.reconstruction} "
-            "although the singular spectra agree"
-        )
-    return BipartiteCertificate(u=u_cert, v=v_cert, sigma=sa.copy(), residual=residual)
+    worst = int(np.argmax(np.abs(sa - sb)))
+    rounding = sum(shape) * np.finfo(float).eps * (sa[0] + sb[0])
+    if abs(sa[worst] - sb[worst]) > tol + rounding:
+        return SpectrumWitness(cut, worst, float(sa[worst]), float(sb[worst]))
+    return None
 
 
 def _phase_ratio(after: np.ndarray, before: np.ndarray) -> np.ndarray:
@@ -385,6 +324,9 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
             np.minimum.at(first, nodes[rows, single], np.arange(single.size))
             free = np.flatnonzero(first < single.size)
             entries = single[first[free]]
+            # Fortran-ordered, so prod(axis=0) gives scalar products' bits;
+            # elementwise or C-ordered products may not, and certificates would
+            # change.  _phase_start matches only as its products hold a factor 1.
             others = np.where(unknown[:, entries], 1.0, value[nodes[:, entries]])
             value[free] = target[entries] / others.prod(axis=0)
             known[free] = True
@@ -672,5 +614,7 @@ def decide_equivalence(
     )
 
 
-# Not called here: perfbench/tracing.py wraps this name on this module.
+# perfbench/tracing.py wraps these names and nothing calls them; they go when
+# ROADMAP item 4 retargets the tracer (None makes a stray call fail at once).
 check_di = decide_equivalence
+bipartite_equivalent = None

@@ -12,13 +12,13 @@ line, then one record per amplitude with 1-based indices::
 Unlisted entries are zero.  Matrix files are identical except that records
 carry two indices (``dims: R C`` and ``row col re im``).  Values are written
 with 17 significant digits, which round-trips IEEE doubles exactly; values
-that are not finite are rejected.  After a check of the headers, one numpy
-call reads every record; a document it declines (a fault, an index past int64,
-a ``0_1`` token, non-ASCII records, no record) is read line by line, which
-reads it or names its first fault.  Of several faults, the first line-local one
-by line is reported (a header or record wrong in itself or in its place);
-without one, a missing ``dims:`` line, then the first out-of-range or repeated
-index.
+that are not finite are rejected.  Files are UTF-8, a leading byte-order mark
+allowed.  After a check of the headers, one numpy call reads every record; a
+document it declines (a fault, an index past int64, a ``0_1`` token,
+non-ASCII records, no record) is read line by line, which reads it or names
+its first fault.  Of several faults, the first line-local one by line is
+reported (a header or record wrong in itself or in its place); without one,
+a missing ``dims:`` line, then the first out-of-range or repeated index.
 """
 
 from __future__ import annotations
@@ -177,8 +177,16 @@ def parse_state(
 
 def load_state(path, strict: bool = False) -> TripartiteState:
     """Read a state file, as :func:`parse_state` reads its text."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _read_state(handle.read(), strict, str(path))
+    return _read_state(_read_text(path), strict, str(path))
+
+
+def _read_text(path) -> str:
+    """A file's UTF-8 text, less a leading byte-order mark."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise StateFormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
 def _read_state(text: str, strict: bool, source: str) -> TripartiteState:
@@ -230,14 +238,16 @@ def parse_matrix(text: str, source: str = "<string>") -> np.ndarray:
 
 def load_matrix(path) -> np.ndarray:
     """Read a matrix file, as :func:`parse_matrix` reads its text."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_matrix(handle.read(), source=str(path))
+    return parse_matrix(_read_text(path), source=str(path))
 
 
 def serialize_matrix(matrix: np.ndarray, label: str | None = None) -> str:
+    """Render a matrix document; exact round trip through :func:`parse_matrix`."""
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2:
         raise ValueError(f"expected a matrix, got {matrix.ndim} axes")
+    if not np.isfinite(matrix).all():
+        raise ValueError("a matrix document holds finite entries only")
     return _document(matrix, label)
 
 

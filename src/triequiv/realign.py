@@ -9,8 +9,7 @@ after rescaling.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,13 +87,8 @@ def kron_factorize(u: np.ndarray, m: int, n: int) -> KronFactorization:
     tilde = realign(u, m, n)
     w, s, vh = np.linalg.svd(tilde)
     if s[0] == 0.0:
-        return KronFactorization(
-            x=np.zeros((m, m), dtype=np.complex128),
-            y=np.zeros((n, n), dtype=np.complex128),
-            scale=1.0,
-            defect=0.0,
-            decomposable=True,
-        )
+        x, y = (np.zeros((d, d), dtype=np.complex128) for d in (m, n))
+        return KronFactorization(x, y, scale=1.0, defect=0.0, decomposable=True)
     defect = float(s[1] / s[0]) if s.size > 1 else 0.0
     root = np.sqrt(s[0])
     x = unvec(root * w[:, 0], m, m)
@@ -131,14 +125,9 @@ def is_unitarily_decomposable(u: np.ndarray, m: int, n: int) -> KronFactorizatio
             f"input is not unitary (defect {defect:.3e} > {tols.unitarity})"
         )
     f = kron_factorize(u, m, n)
-    if not f.decomposable:
-        return f
-    u1, u2 = f.unitary_factors()
-    residual = float(np.linalg.norm(u - f.product()))
-    if (
-        unitarity_defect(u1) > tols.unitarity
-        or unitarity_defect(u2) > tols.unitarity
-        or residual > tols.reconstruction
+    if f.decomposable and (
+        max(map(unitarity_defect, f.unitary_factors())) > tols.unitarity
+        or np.linalg.norm(u - f.product()) > tols.reconstruction
     ):
-        return dataclasses.replace(f, decomposable=False)
+        return replace(f, decomposable=False)
     return f

@@ -94,7 +94,7 @@ def normalized(amplitudes) -> tuple[np.ndarray, str]:
 
 
 def matricize(state: TripartiteState, cut: Cut) -> np.ndarray:
-    """Reshape the amplitude tensor into the bipartite matrix of ``cut``.
+    """Reshape the amplitude tensor into the matrix of ``cut``.
 
     Rows index the cut's single subsystem; columns run over the remaining
     pair in lexicographic order (second index of the pair fastest).  With

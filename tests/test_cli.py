@@ -343,6 +343,14 @@ class TestCheckCommand:
             assert main(["check", str(zero), golden_files[1], *strict]) == 65
             assert "zero state" in capsys.readouterr().err
 
+    def test_a_non_utf8_file_is_a_data_error(self, golden_files, tmp_path, capsys):
+        bad = tmp_path / "bad.state"
+        bad.write_bytes(b"\xff\xfedims: 2 2 2\n")
+        assert main(["check", str(bad), golden_files[1]]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: not UTF-8 at byte 0\n"
+
     def test_dimension_mismatch_exit_code(self, golden_files, tmp_path, capsys):
         other = tmp_path / "wide.state"
         other.write_text(serialize_state(basis_state((2, 2, 3), (0, 0, 0))))

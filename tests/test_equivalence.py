@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from triequiv import equivalence
 from triequiv.equivalence import (
-    CertificateError,
-    SpectrumWitness,
     Verdict,
-    bipartite_equivalent,
     decide_equivalence,
     gauge_search,
 )
@@ -42,7 +39,7 @@ from util import (
 
 DIMS = [(2, 2, 2), (2, 2, 3), (2, 3, 4), (3, 3, 3)]
 # The paper's per-cut machinery, which the decision no longer calls.
-PER_CUT = ("bipartite_equivalent", "kron_factorize", "is_unitarily_decomposable")
+PER_CUT = ("kron_factorize", "is_unitarily_decomposable")
 
 
 def _lu_pair(dims, trial, entropy=9876):
@@ -53,80 +50,6 @@ def _lu_pair(dims, trial, entropy=9876):
         random_unitary(d, s) for d, s in zip(dims, (s1, s2, s3))
     )
     return state, apply_local_unitaries(state, *factors), factors
-
-
-class TestBipartiteEquivalent:
-    def test_identical_matrices(self):
-        state = random_state((2, 2, 2), seed=1)
-        a = matricize(state, Cut.A)
-        cert = bipartite_equivalent(a, a)
-        assert cert.residual <= 1e-12
-        np.testing.assert_allclose(cert.u, np.eye(2), atol=1e-10)
-        np.testing.assert_allclose(cert.v, np.eye(4), atol=1e-10)
-
-    def test_construct_then_recover(self):
-        rng = np.random.default_rng(2)
-        for trial in range(10):
-            a = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-            a /= np.linalg.norm(a)
-            u0 = random_unitary(3, seed=10 + trial)
-            v0 = random_unitary(6, seed=20 + trial)
-            b = u0 @ a @ v0.T
-            cert = bipartite_equivalent(a, b)
-            assert not isinstance(cert, SpectrumWitness)
-            assert cert.residual <= 1e-9
-            assert unitarity_defect(cert.u) <= 1e-10
-            assert unitarity_defect(cert.v) <= 1e-10
-            assert np.linalg.norm(b - cert.u @ a @ cert.v.T) <= 1e-9
-
-    def test_spectra_mismatch_witness(self):
-        product = basis_state((2, 2, 2), (0, 0, 0))
-        ghz = ghz_state()
-        res = bipartite_equivalent(matricize(product, Cut.A), matricize(ghz, Cut.A))
-        assert isinstance(res, SpectrumWitness)
-        assert res.cut is None
-        assert res.deviation > 0.2
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shape"):
-            bipartite_equivalent(np.zeros((2, 4)), np.zeros((2, 6)))
-
-    @pytest.mark.parametrize("spectra", [1e-15, 1e-17, 1e-300])
-    def test_rounding_alone_is_no_witness(self, spectra):
-        # The two spectra of an equivalent pair differ by a few eps.
-        rng = np.random.default_rng(4)
-        for trial in range(50):
-            a = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-            b = random_unitary(3, rng) @ a @ random_unitary(6, rng).T
-            cert = bipartite_equivalent(a, b, Tolerances(spectra=spectra))
-            assert not isinstance(cert, SpectrumWitness)
-
-    @pytest.mark.parametrize("apart", [1.1e-9, 1.5e-9, 2e-9])
-    def test_small_values_just_past_the_tolerance_are_a_witness(self, apart):
-        # Plain matrices are factored by an SVD, whose rounding is of order
-        # eps sigma_1 at every index, so a deviation just past tols.spectra
-        # at sigma = 1e-5 refutes.
-        rng = np.random.default_rng(5)
-        u, v = random_unitary(3, rng), random_unitary(6, rng)[:3]
-        sigma = np.array([1.0, 0.5, 1e-5])
-        a = (u * sigma) @ v
-        b = (u * (sigma + [0, 0, apart])) @ v
-        res = bipartite_equivalent(a, b)
-        assert isinstance(res, SpectrumWitness)
-        assert res.index == 2
-        assert res.deviation == pytest.approx(apart, rel=1e-5)
-
-    def test_residual_failure_is_certificate_error(self):
-        # Spectra inside the loose equality tolerance but far beyond the
-        # reconstruction tolerance: construction must refuse, not fabricate.
-        state = random_state((3, 3, 3), seed=3)
-        a = matricize(state, Cut.A)
-        u, s, vh = np.linalg.svd(a)
-        s_perturbed = s + np.array([1e-7, -0.6e-7, -0.5e-7])
-        b = u @ np.diag(s_perturbed) @ vh[:3]
-        tols = Tolerances(spectra=1e-6, reconstruction=1e-9)
-        with pytest.raises(CertificateError):
-            bipartite_equivalent(a, b, tols)
 
 
 def _with_noise(state, norm, rng):
@@ -363,6 +286,8 @@ def _verdict_class(decision):
     log_spec_tol=st.integers(-300, -9),
 )
 @example(dims=(5, 2, 2), trial=0, rank_deficient=False, log_spec_tol=-9)
+@example(dims=(3, 2, 3), trial=0, rank_deficient=False, log_spec_tol=-15)
+@example(dims=(3, 2, 3), trial=0, rank_deficient=False, log_spec_tol=-17)
 @example(dims=(6, 1, 3), trial=0, rank_deficient=False, log_spec_tol=-9)
 @example(dims=(6, 1, 3), trial=0, rank_deficient=True, log_spec_tol=-9)
 @example(dims=(1, 1, 1), trial=0, rank_deficient=False, log_spec_tol=-300)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from triequiv import fileio
 from triequiv.fileio import (
     StateFormatError,
+    load_matrix,
     load_state,
     matrix_pairs,
     parse_matrix,
@@ -46,6 +47,28 @@ class TestStateRoundTrip:
         path = tmp_path / "s.state"
         path.write_text(serialize_state(state))
         assert np.array_equal(load_state(path).amplitudes, state.amplitudes)
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        # Some editors start UTF-8 files with one; it is not part of line 1.
+        documents = {
+            "s.state": serialize_state(random_state((3, 2, 4), seed=6), label="bom"),
+            "u.mat": serialize_matrix(random_unitary(3, seed=6), label="bom"),
+        }
+        for name, document in documents.items():
+            (tmp_path / name).write_text(document, encoding="utf-8")
+            (tmp_path / f"bom-{name}").write_text(document, encoding="utf-8-sig")
+            assert (tmp_path / f"bom-{name}").read_bytes().startswith(b"\xef\xbb\xbf")
+        plain, marked = (load_state(tmp_path / f"{b}s.state") for b in ("", "bom-"))
+        assert plain.amplitudes.tobytes() == marked.amplitudes.tobytes()
+        plain, marked = (load_matrix(tmp_path / f"{b}u.mat") for b in ("", "bom-"))
+        assert plain.tobytes() == marked.tobytes()
+
+    @pytest.mark.parametrize("load", [load_state, load_matrix])
+    def test_a_file_that_is_not_utf8_is_named(self, load, tmp_path):
+        path = tmp_path / "l1.state"
+        path.write_bytes("# caf\xe9\ndims: 1 1 1\n1 1 1  1 0\n".encode("latin-1"))
+        with pytest.raises(StateFormatError, match=r"l1\.state: not UTF-8 at byte 5"):
+            load(path)
 
 
 class TestStateParsing:
@@ -667,6 +690,14 @@ class TestMatrixFiles:
     def test_serialize_rejects_vector(self):
         with pytest.raises(ValueError):
             serialize_matrix(np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_serialize_rejects_non_finite_entries(self, bad):
+        # parse_matrix refuses such records, so no document is written for them.
+        mat = np.eye(2, dtype=complex)
+        mat[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            serialize_matrix(mat)
 
 
 class TestSeventeenDigits:
