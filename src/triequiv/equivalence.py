@@ -2,12 +2,11 @@
 
 One factorisation per cut, :func:`triequiv.states.cut_svd`, gives the cut's
 singular spectrum and left singular vectors, never its right ones: the
-``eigh`` of its Gram matrix, or where that cannot vouch for its small singular
-values (rank-deficient cuts among them) an SVD, for a wide cut the SVD of the
-small factor of a QR.  A cut refutes the pair where an SVD of it finds spectra
-that differ by more than the tolerance and the SVD's rounding; a cut is
-factored again by that SVD only where its first spectra, within their
-rounding, leave a refutation open.
+``eigh`` of its Gram matrix, and one more of each tail of small singular
+values that it cannot vouch for.  A cut refutes the pair where an SVD of it
+finds spectra that differ by more than the tolerance and the SVD's rounding;
+a cut is factored again by that SVD only where its first spectra, within
+their rounding, leave a refutation open.
 Otherwise each state is put into its frame, the higher-order SVD: the same
 factorisations give the eigenbasis of each one-party reduction, grouped by
 eigenvalue, and the core tensor is the state in those bases.  A local unitary
@@ -443,8 +442,8 @@ def _obstruction(
        smallest gap the cycle touches, infinite for d_p = 1.  The bases'
        own rounding is the same bound with eps of order (rows + cols) eps
        sigma_1^2 (:func:`triequiv.states.cut_rounding`; on the Gram matrix,
-       of which the bases are eigenvectors on either route), orders of
-       magnitude below tau.
+       of which the bases are eigenvectors, deflated tails included), orders
+       of magnitude below tau.
     3. Entry e = (s, p, q) of the second core is <v'_s v'_p v'_q|psi'>; it is
        within tau of <v'_s v'_p v'_q|phi>, and that, telescoping the product,
        within the three vectors' moves of core_e times the conjugate phases:

@@ -114,9 +114,9 @@ class TestInvariantsCommand:
             argv = ["invariants", str(path), "--json", "--nested", "2", "1", "2", "2"]
             assert main(argv) == 0
         # One eigh of each cut's Gram matrix.  The product state's cuts have
-        # rank 1, so each falls back to the QR route: a QR and the SVD of its R.
+        # rank 1, so each also deflates its tail: one more eigh.
         assert sorted(calls) == sorted(
-            [("eigh", "cut_svd")] * 9 + [("svd", "cut_svd"), ("qr", "cut_svd")] * 3
+            [("eigh", "cut_svd")] * 9 + [("eigh", "_deflate")] * 3
         )
 
 

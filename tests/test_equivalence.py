@@ -17,6 +17,7 @@ from triequiv.states import (
     Cut,
     TripartiteState,
     apply_local_unitaries,
+    cut_rounding,
     cut_svd,
     gram_delta,
     matricize,
@@ -300,13 +301,13 @@ def _verdict_class(decision):
 @example(dims=(8, 2, 16), trial=0, rank_deficient=True, log_spec_tol=-300)
 @example(dims=(32, 4, 4), trial=0, rank_deficient=True, log_spec_tol=-300)
 def test_lu_rotated_pairs_are_never_refuted(dims, trial, rank_deficient, log_spec_tol):
-    # Cuts with more rows than columns (cut A of 5x2x2, 6x1x3 and 32x4x4)
-    # take the full SVD, and every other full-rank cut one eigh of its Gram
-    # matrix.  Rank-deficient cuts fall back: cut A of the rank-deficient
-    # 8^3, 12^3 and 4x8x16 to the QR route (cols >= 2 rows and rows cols >=
-    # 512), cuts A and C of 8x2x16 and cut C of 6x1x3 to the thin SVD; beside
-    # ``other`` they make a stack that mixes both routes.  However small the
-    # spectra tolerance, the rounding of an LU pair's spectra is no witness.
+    # Every cut takes one eigh of its Gram matrix, tall ones (cut A of 5x2x2,
+    # 6x1x3 and 32x4x4) included.  Rank-deficient cuts have their tail
+    # deflated by a second eigh: cut A of the rank-deficient 8^3, 12^3,
+    # 4x8x16 and 32x4x4, cuts A and C of 8x2x16 and cut C of 6x1x3; beside
+    # ``other``, whose cuts are kept whole, they make a stack in which only
+    # some states deflate.  However small the spectra tolerance, the
+    # rounding of an LU pair's spectra is no witness.
     state, rotated, factors = _lu_pair(dims, trial)
     if rank_deficient:
         rng = np.random.default_rng(trial)
@@ -397,29 +398,26 @@ def test_procrustes_is_reached_only_through_refit(monkeypatch):
     # Besides the cut factorisations, every SVD of a decision is the polar
     # factor in _refit: a generic pair needs it only to certify, a state
     # maximally entangled across A starts from the one-block refit, GHZ
-    # needs sweeps.  Each cut takes one eigh of its Gram matrix; QR serves
-    # only wide cuts that fall back, here cut A of rank 2 of a 4x8x16 pair.
+    # needs sweeps.  The cuts are factored by eigh alone: one of each cut's
+    # Gram matrix, and one of the deflated tail of each cut that needs it,
+    # here cut A of rank 2 of a 4x8x16 pair.
     callers = []
-    qr_shapes = []
     eigh_shapes = []
-    svd, qr, eigh = np.linalg.svd, np.linalg.qr, np.linalg.eigh
+    tail_shapes = []
+    svd, eigh = np.linalg.svd, np.linalg.eigh
 
     def record(*args, **kwargs):
         frames = sys._getframe(1), sys._getframe(2)
         callers.append(tuple(frame.f_code.co_name for frame in frames))
         return svd(*args, **kwargs)
 
-    def record_qr(a, *args, **kwargs):
-        # One call factors the cut of both states; record each matrix.
-        assert sys._getframe(1).f_code.co_name == "cut_svd"
-        *stack, rows, cols = np.shape(a)
-        qr_shapes.extend([(rows, cols)] * int(np.prod(stack)))
-        return qr(a, *args, **kwargs)
-
     def record_eigh(a, *args, **kwargs):
-        assert sys._getframe(1).f_code.co_name == "cut_svd"
+        # One call factors the cut of both states; record each matrix.
+        caller = sys._getframe(1).f_code.co_name
+        assert caller in ("cut_svd", "_deflate")
         *stack, rows, _ = np.shape(a)
-        eigh_shapes.extend([rows] * int(np.prod(stack)))
+        shapes = eigh_shapes if caller == "cut_svd" else tail_shapes
+        shapes.extend([rows] * int(np.prod(stack)))
         return eigh(a, *args, **kwargs)
 
     max_a = _max_entangled_a((3, 3, 3), np.random.default_rng(0))
@@ -435,18 +433,17 @@ def test_procrustes_is_reached_only_through_refit(monkeypatch):
         (rank_two, apply_local_unitaries(rank_two, *rotations)),
     )
     monkeypatch.setattr(np.linalg, "svd", record)
-    monkeypatch.setattr(np.linalg, "qr", record_qr)
     monkeypatch.setattr(np.linalg, "eigh", record_eigh)
     for first, second in pairs:
         _assert_certified(decide_equivalence(first, second), first, second)
     refits = {user for caller, user in callers if caller == "_refit"}
-    assert {caller for caller, _ in callers} == {"cut_svd", "_refit"}
+    assert {caller for caller, _ in callers} == {"_refit"}
     assert refits == {"_sweep", "_one_block_start", "_certify"}
     # One Gram matrix per cut of every state, each d x d.
     dims = [(3, 4, 5), (3, 3, 3), (2, 2, 2), (4, 8, 16), (4, 8, 16)]
     assert sorted(eigh_shapes) == sorted(d for shape in dims for d in shape * 2)
-    # QR takes the transposed cut, cols x rows: 4x128, for both states.
-    assert qr_shapes == [(128, 4)] * 2
+    # One tail per state of the rank-2 pair, past its two kept vectors: 2x2.
+    assert tail_shapes == [2] * 2
 
 
 @pytest.mark.parametrize(
@@ -462,10 +459,9 @@ def test_procrustes_is_reached_only_through_refit(monkeypatch):
     ],
 )
 def test_cut_svds_give_left_vectors_and_spectra(dims, rank):
-    # Full-rank wide cuts take one eigh of their Gram matrix (every cut of
-    # 3^3, 8x2x16 and 12^3, cuts B and C of the others); cut A of rank 5 at
-    # 12^3 and of rank 2 at 4x8x16 falls back to the QR route, and cut A of
-    # 6x2x2 and 32x4x4, with more rows than columns, to the full SVD.  With
+    # Every cut takes one eigh of its Gram matrix, tall cut A of 6x2x2 and
+    # 32x4x4 included; cut A of rank 5 at 12^3, of rank 2 at 4x8x16 and of
+    # rank 3 at 32x4x4 also has its tail deflated by a second eigh.  With
     # ``rank`` set, cut A has that rank.
     rng = np.random.default_rng(list(dims))
     if rank is None:
@@ -536,8 +532,8 @@ def test_small_singular_values_that_differ_refute_through_the_fallback(
     dims, log_low, log_spec_tol, seed
 ):
     # The two states differ only in cut A's smallest singular value, by 1e-8
-    # near 1e-6.  There the Gram route's allowance exceeds the default
-    # tolerance, so cut A falls back to an SVD, which refutes.
+    # near 1e-6.  There the Gram allowance exceeds the default tolerance, so
+    # cut A's tail is deflated, and the witness's SVD refutes.
     rng = np.random.default_rng(seed)
     k, m, n = dims
     low = 10.0**log_low
@@ -635,6 +631,59 @@ def test_gram_spectra_lie_within_their_allowance(dims, kind, seed):
         delta = sum(a.shape) * np.finfo(float).eps * gram[0] ** 2
         allowance = delta / np.maximum(gram, np.sqrt(delta)) + svd_rounding
         assert np.all(np.abs(gram - exact) <= allowance)
+
+
+def _cut_a_state(dims, rank, low, rng):
+    """State whose cut A has ``rank`` singular values falling geometrically
+    from 1 to ``low`` (before normalizing), with random singular vectors.
+
+    The vectors come from thin QRs, so a 64^3 state costs no 4096 x 4096
+    unitary as ``_schmidt_state`` and ``_graded_state`` would.
+    """
+    k, m, n = dims
+    sigma = np.logspace(0, np.log10(low), rank)
+    left, right = (
+        np.linalg.qr(rng.standard_normal((d, rank, 2)) @ [1, 1j])[0] for d in (k, m * n)
+    )
+    return TripartiteState.from_unnormalized(((left * sigma) @ right.T).reshape(dims))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+    kind=st.sampled_from(["dense", "rank-deficient", "graded"]),
+    log_low=st.floats(-12.0, 0.0),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=(64, 64, 64), kind="rank-deficient", log_low=0.0, seed=4)
+@example(dims=(16, 2, 2), kind="rank-deficient", log_low=-12.0, seed=0)
+@example(dims=(32, 4, 4), kind="graded", log_low=-12.0, seed=0)
+@example(dims=(6, 1, 1), kind="graded", log_low=-6.0, seed=0)
+@example(dims=(1, 5, 3), kind="dense", log_low=0.0, seed=0)
+def test_cut_svds_lie_within_their_rounding_bound(dims, kind, log_low, seed):
+    # Every cut, wide or tall, kept whole or deflated: each singular value
+    # is within cut_rounding of the SVD's, plus the SVD's own rounding; the
+    # left vectors are unitary and diagonalise the Gram matrix.  Cut A has
+    # rank ``seed`` (mod its full rank) when rank-deficient, and falls to
+    # 10^log_low when graded; the example at 64^3 has rank 4.
+    rng = np.random.default_rng(seed)
+    full = min(dims[0], dims[1] * dims[2])
+    if kind == "dense":
+        state = random_state(dims, rng)
+    elif kind == "graded":
+        state = _cut_a_state(dims, full, 10.0**log_low, rng)
+    else:
+        state = _cut_a_state(dims, max(seed % full, 1), 10.0**log_low, rng)
+    for cut in Cut:
+        a = matricize(state, cut)
+        (vecs,), (spectrum,) = cut_svd(state.amplitudes[None], cut)
+        exact = np.linalg.svd(a, compute_uv=False)
+        svd_rounding = sum(a.shape) * np.finfo(float).eps * exact[0]
+        bound = cut_rounding(spectrum, a.shape) + svd_rounding
+        assert np.all(np.abs(spectrum - exact) <= bound)
+        assert unitarity_defect(vecs) <= 1e-13
+        gram = vecs.conj().T @ a @ a.conj().T @ vecs
+        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-13
 
 
 def _assert_certified(decision, first, second):
@@ -772,7 +821,7 @@ def test_exact_lu_pairs_are_certified(dims, seed):
 @given(seed=st.integers(0, 2**16))
 def test_exact_rank_two_lu_pairs_are_never_refuted(seed):
     # The sum of two rational product terms: every cut has rank <= 2 of 3, so
-    # its Gram spectrum cannot vouch for itself and the cut falls back.
+    # its Gram spectrum cannot vouch for itself and the cut's tail deflates.
     rng = np.random.default_rng(seed)
     vectors = rng.integers(-3, 4, (2, 3, 3)) + 1j * rng.integers(-3, 4, (2, 3, 3))
     tensor = sum(np.einsum("i,j,k->ijk", *terms) for terms in vectors)
@@ -1201,12 +1250,10 @@ def test_phase_start_falls_back_on_conjugate_pairs(dims):
     "dims", [(3, 3, 3), (8, 2, 16), (12, 12, 12), (4, 8, 16), (6, 2, 2), (32, 4, 4)]
 )
 def test_stacked_cut_svds_give_each_state_its_own_bits(dims):
-    # Full-rank wide cuts take one eigh of their Gram matrix (every cut of
-    # 3^3, 8x2x16, 12^3 and 4x8x16, cuts B and C of 6x2x2 and 32x4x4), and
-    # cut A of 6x2x2 and 32x4x4 the full SVD of a tall cut.  The mixed stack
-    # puts a rank-2 state between two of them: its cut A falls back, to the
-    # thin SVD at 3^3 and 8x2x16 and to QR at 12^3 and 4x8x16, while theirs
-    # keep the Gram route, so cut_svd merges the two routes' results.
+    # Every cut takes one eigh of its Gram matrix, tall cut A of 6x2x2 and
+    # 32x4x4 included, and full-rank states keep it whole.  The mixed stack
+    # puts a rank-2 state between two of them: its cut A has its tail
+    # deflated by a second eigh, state by state, while theirs are kept.
     rng = np.random.default_rng(list(dims))
     states = [random_state(dims, rng) for _ in range(3)]
     mixed = [states[0], _schmidt_state(dims, 2, None, rng), states[2]]
@@ -1221,7 +1268,7 @@ def test_stacked_cut_svds_give_each_state_its_own_bits(dims):
     rows, cols = matricize(states[0], Cut.A).shape
     spectra = cut_svd(np.stack([state.amplitudes for state in mixed]), Cut.A)[1]
     falls = [gram_delta(s[0], s[-1], (rows, cols)) is None for s in spectra]
-    assert falls == [rows > cols, True, rows > cols]
+    assert falls == [False, True, False]
 
 
 def test_generic_pairs_build_no_groups(monkeypatch):
