@@ -1,12 +1,12 @@
 """The three-party equivalence decision, with certificates and witnesses.
 
 One factorisation per cut, :func:`triequiv.states.cut_svd`, gives the cut's
-singular spectrum and left singular vectors, never its right ones: the
-``eigh`` of its Gram matrix, and one more of each tail of small singular
-values that it cannot vouch for.  A cut refutes the pair where an SVD of it
-finds spectra that differ by more than the tolerance and the SVD's rounding;
-a cut is factored again by that SVD only where its first spectra, within
-their rounding, leave a refutation open.
+singular spectrum, its rounding bound and left singular vectors (never the
+right ones): the ``eigh`` of its Gram matrix, and one more of each tail of
+small singular values that it cannot vouch for.  A cut refutes the pair
+where an SVD of it finds spectra that differ by more than the tolerance and
+the SVD's rounding, and is factored again by that SVD only where its first
+spectra, within those bounds, leave a refutation open.
 Otherwise each state is put into its frame, the higher-order SVD: the same
 factorisations give the eigenbasis of each one-party reduction, grouped by
 eigenvalue, and the core tensor is the state in those bases.  A local unitary
@@ -36,7 +36,6 @@ from .states import apply_local_unitaries  # noqa: F401
 from .states import (
     Cut,
     TripartiteState,
-    cut_rounding,
     cut_svd,
     random_unitary,
     unfold,
@@ -159,29 +158,29 @@ def _refit(source, target, p: int, g: list) -> tuple[np.ndarray, float]:
 
 
 def _cut_witness(
-    amplitudes: np.ndarray, cut: Cut, sa, sb, tol: float, shape: tuple[int, int]
+    amplitudes: np.ndarray, cut: Cut, sa, sb, rounding: float, tol: float
 ) -> SpectrumWitness | None:
     """Witness on one cut of a stacked pair, from the cut's :func:`cut_svd` spectra.
 
-    Each spectrum lies within :func:`cut_rounding` of the exact one at every
-    index, so where the largest deviation plus both bounds is within ``tol``
-    the exact spectra differ by at most ``tol`` and no SVD could refute:
-    None, with no further factorisation, as for LU pairs at the default
-    tolerance unless a cut's bound nears it.  Otherwise one SVD factors the
-    cut of both states again, and the witness is at the largest deviation if
-    that exceeds ``tol`` plus the SVDs' rounding, (rows + cols) eps sigma_1
-    each, so no tolerance however small refutes on rounding alone (over LU
-    pairs from 8^3 to 2 x 48 x 48, rank-deficient ones included, deviations
-    stayed below 0.16 of it).  A refutation so costs the Gram route nothing
-    at any tolerance: it needs the deviation an SVD needs, never the Gram
-    allowance on top.
+    Each spectrum lies within its :func:`cut_svd` bound of the exact one at
+    every index, so where the largest deviation plus ``rounding``, the two
+    bounds summed, is within ``tol`` the exact spectra differ by at most
+    ``tol`` and no SVD could refute: None, with no further factorisation,
+    as for LU pairs at the default tolerance unless a cut's bound nears it.
+    Otherwise one SVD factors the cut of both states again, and the witness
+    is at the largest deviation if that exceeds ``tol`` plus the SVDs'
+    rounding, (rows + cols) eps sigma_1 each, so no tolerance however small
+    refutes on rounding alone (over LU pairs from 8^3 to 2 x 48 x 48,
+    rank-deficient ones included, deviations stayed below 0.16 of it).  A
+    refutation so costs the Gram route nothing at any tolerance: it needs
+    the deviation an SVD needs, never the Gram allowance on top.
     """
-    rounding = cut_rounding(sa, shape) + cut_rounding(sb, shape)
     if float(np.abs(sa - sb).max()) + rounding <= tol:
         return None
-    sa, sb = np.linalg.svd(unfold(amplitudes, tuple(Cut).index(cut)), compute_uv=False)
+    a = unfold(amplitudes, tuple(Cut).index(cut))
+    sa, sb = np.linalg.svd(a, compute_uv=False)
     worst = int(np.argmax(np.abs(sa - sb)))
-    rounding = sum(shape) * np.finfo(float).eps * (sa[0] + sb[0])
+    rounding = sum(a.shape[1:]) * np.finfo(float).eps * (sa[0] + sb[0])
     if abs(sa[worst] - sb[worst]) > tol + rounding:
         return SpectrumWitness(cut, worst, float(sa[worst]), float(sb[worst]))
     return None
@@ -441,9 +440,9 @@ def _obstruction(
        sqrt(2) 2 eps / delta_p <= sqrt(d_p) 2 eps / delta_p; delta_p is the
        smallest gap the cycle touches, infinite for d_p = 1.  The bases'
        own rounding is the same bound with eps of order (rows + cols) eps
-       sigma_1^2 (:func:`triequiv.states.cut_rounding`; on the Gram matrix,
-       of which the bases are eigenvectors, deflated tails included), orders
-       of magnitude below tau.
+       sigma_1^2 (the delta of the bound :func:`triequiv.states.cut_svd`
+       returns; on the Gram matrix, of which the bases are eigenvectors,
+       deflated tails included), orders of magnitude below tau.
     3. Entry e = (s, p, q) of the second core is <v'_s v'_p v'_q|psi'>; it is
        within tau of <v'_s v'_p v'_q|phi>, and that, telescoping the product,
        within the three vectors' moves of core_e times the conjugate phases:
@@ -591,12 +590,11 @@ def decide_equivalence(
         raise ValueError(f"gauge_budget must be >= 0, got {gauge_budget}")
 
     amplitudes = np.stack((state.amplitudes, other.amplitudes))
-    vecs, values = zip(*(cut_svd(amplitudes, cut) for cut in Cut))
+    vecs, values, bounds = zip(*(cut_svd(amplitudes, cut) for cut in Cut))
     bases, sides = tuple(zip(*vecs)), tuple(zip(*values))
     spectra = tuple(tuple(tuple(s.tolist()) for s in side) for side in sides)
-    size = state.amplitudes.size
-    for cut, d, sa, sb in zip(Cut, state.dims, *sides):
-        witness = _cut_witness(amplitudes, cut, sa, sb, tols.spectra, (d, size // d))
+    for cut, sa, sb, bound in zip(Cut, *sides, bounds):
+        witness = _cut_witness(amplitudes, cut, sa, sb, float(bound.sum()), tols.spectra)
         if witness is not None:
             return TripartiteDecision(
                 verdict=Verdict.INVARIANTS_DIFFER, witness=witness, spectra=spectra

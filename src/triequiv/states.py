@@ -2,8 +2,8 @@
 
 :func:`cut_svd` is the one factorisation of a state's cuts: one ``eigh`` of
 each cut's Gram matrix, the party's reduction, and one more of each tail of
-that spectrum that the first cannot vouch for, and :func:`cut_rounding` a
-bound on the rounding of the spectra it returns."""
+that spectrum that the first cannot vouch for, with a bound on the rounding
+of the spectra it returns."""
 
 from __future__ import annotations
 
@@ -119,73 +119,37 @@ def unfold(tensor: np.ndarray, axis: int) -> np.ndarray:
     return moved.reshape(*moved.shape[:-2], -1)
 
 
-def cut_svd(amplitudes: np.ndarray, cut: Cut) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors and singular values of one cut of a stack of states.
+def cut_svd(amplitudes: np.ndarray, cut: Cut) -> tuple[np.ndarray, ...]:
+    """Left singular vectors, spectra and rounding bounds of one cut of states.
 
     The one factorisation of a state's cuts.  ``amplitudes`` stacks the
-    states' (K, M, N) tensors along a first axis; returns two stacks, one
+    states' (K, M, N) tensors along a first axis; returns three stacks, one
     entry per state: the d x d left vectors and the descending spectrum of
     min(d, c) values, from the ``eigh`` of the Gram matrix a a^dagger of the
-    cut a, d x c, party p's reduction: sigma_i = sqrt(max(lambda_i, 0)).
-    Where :func:`gram_delta` refuses a state's spectrum, as it does every
-    rank-deficient one, the tail from the first index k that fails is
-    deflated: Y = E_tail^dagger a for E_tail = vecs[:, k:], and the ``eigh``
-    W of Y Y^dagger rewrites E_tail as E_tail W and sigma from k on.  The
-    new tail is deflated again until no index fails or its first one does.
-    The amplitudes alone decide this, so printed spectra depend on no
-    tolerance, and each state of a stack gets the bits it gets alone.
+    cut a, d x c, party p's reduction: sigma_i = sqrt(max(lambda_i, 0)); and
+    the spectrum's rounding bound at any index, from :func:`_deflate`, which
+    first deflates the tails of a spectrum that :func:`gram_delta` refuses,
+    as it does every rank-deficient one.  The amplitudes alone decide this,
+    so printed spectra depend on no tolerance, and each state of a stack
+    gets the bits it gets alone.
     """
     a = unfold(amplitudes, tuple(Cut).index(cut))
-    shape = a.shape[1:]
     values, vecs = np.linalg.eigh(a @ a.conj().swapaxes(-1, -2))
-    values = values[..., ::-1][..., : min(shape)]
+    values = values[..., ::-1][..., : min(a.shape[1:])]
     vecs, spectra = vecs[..., ::-1], np.sqrt(np.maximum(values, 0.0))
-    for i, spectrum in enumerate(spectra):
-        if gram_delta(spectrum.item(0), spectrum.item(-1), shape) is None:
-            _deflate(a[i], vecs[i], spectrum)
-    return vecs, spectra
+    bounds = [_deflate(*state) for state in zip(a, vecs, spectra)]
+    return vecs, spectra, np.array(bounds)
 
 
-def _deflate(a: np.ndarray, vecs: np.ndarray, spectrum: np.ndarray) -> None:
-    """Rewrite, in place, the tails of one cut's Gram factorisation that fail."""
-    start, k = 0, _split(spectrum, a.shape, 0)[1]
-    while start < k < spectrum.size:
-        tail = vecs[:, k:]
-        y = tail.conj().T @ a
-        values, w = np.linalg.eigh(y @ y.conj().T)
-        vecs[:, k:] = tail @ w[:, ::-1]
-        spectrum[k:] = np.sqrt(np.maximum(values[::-1][: spectrum.size - k], 0.0))
-        start, k = k, _split(spectrum, a.shape, k)[1]
+def _deflate(a: np.ndarray, vecs: np.ndarray, spectrum: np.ndarray) -> float:
+    """Deflate one cut's failing tails in place; bound the spectrum's rounding.
 
-
-def _split(spectrum: np.ndarray, shape: tuple[int, int], start: int) -> tuple[float, int]:
-    """Delta of the tail from ``start``, the Gram spectrum of a (rows - start)
-    x cols matrix, and its first index that fails as in :func:`gram_delta`."""
-    top = spectrum.item(start)
-    delta = (shape[0] - start + shape[1]) * _EPS * top * top
-    kept = delta <= DEFAULT_TOLERANCES.spectra * np.maximum(
-        spectrum[start:], math.sqrt(delta)
-    )
-    return delta, start + int(np.count_nonzero(kept))
-
-
-def gram_delta(top: float, low: float, shape: tuple[int, int]) -> float | None:
-    """Eigenvalue rounding delta of a Gram spectrum that :func:`cut_svd` keeps whole.
-
-    delta = (rows + cols) eps sigma_1^2 for sigma_1 = ``top``, derived in
-    :func:`cut_rounding`.  None, so that the cut's tail is deflated, when the
-    allowance min(sqrt(delta), delta / ``low``) at its smallest singular
-    value exceeds ``DEFAULT_TOLERANCES.spectra``.  On Python floats: numpy
-    calls on one value per state cost more than the test saves.
-    """
-    delta = sum(shape) * _EPS * top * top
-    if delta > DEFAULT_TOLERANCES.spectra * max(low, math.sqrt(delta)):
-        return None
-    return delta
-
-
-def cut_rounding(spectrum: np.ndarray, shape: tuple[int, int]) -> float:
-    """Bound on the rounding of a :func:`cut_svd` spectrum of a cut, at any index.
+    Where :func:`gram_delta` accepts the spectrum, the bound is the Gram
+    allowance delta / max(sigma_min, sqrt(delta)) and nothing is deflated.
+    Otherwise the tail from the split k of :func:`_split` is deflated: Y =
+    E_tail^dagger a for E_tail = vecs[:, k:], and the ``eigh`` W of Y
+    Y^dagger rewrites E_tail as E_tail W and sigma from k on.  The new tail
+    is deflated again until no index fails or its first one does.
 
     The computed G' = a a^dagger + E_1 has ||E_1|| of order c eps sigma_1^2
     for c columns (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -202,22 +166,59 @@ def cut_rounding(spectrum: np.ndarray, shape: tuple[int, int]) -> float:
     delta / sqrt(max(eta, delta)); Y's product rounding, (rows + cols) eps
     sigma_1; and the tail's own Gram allowance, with delta = (rows - k +
     cols) eps sigma_k^2.  Deeper tails add coupling and product again.  The
-    largest, at the last index, is returned; the tails are read off the
-    spectrum as :func:`cut_svd` finds them.  Measured: Gram spectra within
-    0.61 of the kept allowance on every shape, deflated ones within 0.14 of
-    this bound.  On Python floats.
+    largest, at the last index, is returned, summed over the splits this
+    walk made.  Measured: Gram spectra within 0.61 of the kept allowance on
+    every shape, deflated ones within 0.14 of this bound.
     """
     top, low = spectrum.item(0), spectrum.item(-1)
-    delta = gram_delta(top, low, shape)
+    delta = gram_delta(top, low, a.shape)
     if delta is not None:
         return delta / max(low, math.sqrt(delta))
-    product, bound = sum(shape) * _EPS * top, 0.0
-    start, (delta, k) = 0, _split(spectrum, shape, 0)
+    product, bound = sum(a.shape) * _EPS * top, 0.0
+    start, (delta, k) = 0, _split(spectrum, a.shape, 0)
     while start < k < spectrum.size:
+        tail = vecs[:, k:]
+        y = tail.conj().T @ a
+        values, w = np.linalg.eigh(y @ y.conj().T)
+        vecs[:, k:] = tail @ w[:, ::-1]
+        spectrum[k:] = np.sqrt(np.maximum(values[::-1][: spectrum.size - k], 0.0))
         eta = spectrum.item(k - 1) ** 2 - spectrum.item(k) ** 2
         bound += delta / math.sqrt(max(eta, delta)) + product
-        start, (delta, k) = k, _split(spectrum, shape, k)
-    return bound + (delta / max(low, math.sqrt(delta)) if delta else 0.0)
+        start, (delta, k) = k, _split(spectrum, a.shape, k)
+    return bound + (delta / max(spectrum.item(-1), math.sqrt(delta)) if delta else 0.0)
+
+
+def _split(spectrum: np.ndarray, shape: tuple[int, int], start: int) -> tuple[float, int]:
+    """Delta of the tail from ``start``, the Gram spectrum of a (rows - start)
+    x cols matrix, and its first index that fails as in :func:`gram_delta`,
+    moved down to a gap sigma_(k-1)^2 - sigma_k^2 > delta while k > start + 1,
+    so that no tail starts inside a cluster that straddles the threshold."""
+    top = spectrum.item(start)
+    delta = (shape[0] - start + shape[1]) * _EPS * top * top
+    kept = delta <= DEFAULT_TOLERANCES.spectra * np.maximum(
+        spectrum[start:], math.sqrt(delta)
+    )
+    k = start + int(np.count_nonzero(kept))
+    while start + 1 < k < spectrum.size and (
+        spectrum.item(k - 1) ** 2 - spectrum.item(k) ** 2 <= delta
+    ):
+        k -= 1
+    return delta, k
+
+
+def gram_delta(top: float, low: float, shape: tuple[int, int]) -> float | None:
+    """Eigenvalue rounding delta of a Gram spectrum that :func:`cut_svd` keeps whole.
+
+    delta = (rows + cols) eps sigma_1^2 for sigma_1 = ``top``, derived in
+    :func:`_deflate`.  None, so that the cut's tail is deflated, when the
+    allowance min(sqrt(delta), delta / ``low``) at its smallest singular
+    value exceeds ``DEFAULT_TOLERANCES.spectra``.  On Python floats: numpy
+    calls on one value per state cost more than the test saves.
+    """
+    delta = sum(shape) * _EPS * top * top
+    if delta > DEFAULT_TOLERANCES.spectra * max(low, math.sqrt(delta)):
+        return None
+    return delta
 
 
 def reduced_density(state: TripartiteState, cut: Cut) -> np.ndarray:

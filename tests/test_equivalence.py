@@ -17,7 +17,6 @@ from triequiv.states import (
     Cut,
     TripartiteState,
     apply_local_unitaries,
-    cut_rounding,
     cut_svd,
     gram_delta,
     matricize,
@@ -36,6 +35,7 @@ from util import (
     golden_pair_223,
     kron_apply,
     oracle_solve_phase_product,
+    straddle_state,
 )
 
 DIMS = [(2, 2, 2), (2, 2, 3), (2, 3, 4), (3, 3, 3)]
@@ -64,8 +64,8 @@ def _frames(*states):
     frames = []
     for s in states:
         svds = [cut_svd(s.amplitudes[None], cut) for cut in Cut]
-        bases = tuple(vecs[0] for vecs, _ in svds)
-        spectra = tuple(values[0] for _, values in svds)
+        bases = tuple(vecs[0] for vecs, _, _ in svds)
+        spectra = tuple(values[0] for _, values, _ in svds)
         frames.append(equivalence._state_frame(s, bases, spectra))
     return tuple(frames)
 
@@ -472,7 +472,7 @@ def test_cut_svds_give_left_vectors_and_spectra(dims, rank):
             state, random_unitary(dims[0], rng), np.eye(dims[1]), np.eye(dims[2])
         )
     for cut, d in zip(Cut, dims):
-        (vecs,), (spectrum,) = cut_svd(state.amplitudes[None], cut)
+        (vecs,), (spectrum,), _ = cut_svd(state.amplitudes[None], cut)
         a = matricize(state, cut)
         np.testing.assert_allclose(
             spectrum, np.linalg.svd(a, compute_uv=False), rtol=0, atol=1e-13
@@ -548,7 +548,7 @@ def test_small_singular_values_that_differ_refute_through_the_fallback(
     )
     shape = (k, m * n)
     for state in (first, second):
-        (_,), (spectrum,) = cut_svd(state.amplitudes[None], Cut.A)
+        (_,), (spectrum,), _ = cut_svd(state.amplitudes[None], Cut.A)
         assert gram_delta(float(spectrum[0]), float(spectrum[-1]), shape) is None
     decision = decide_equivalence(first, second, Tolerances(spectra=10.0**log_spec_tol))
     assert decision.verdict is Verdict.INVARIANTS_DIFFER
@@ -588,7 +588,7 @@ def test_deviations_within_the_gram_allowance_still_refute(
     )
     shape = (k, m * n)
     for state in (first, second):
-        (_,), (spectrum,) = cut_svd(state.amplitudes[None], Cut.A)
+        (_,), (spectrum,), _ = cut_svd(state.amplitudes[None], Cut.A)
         assert gram_delta(float(spectrum[0]), float(spectrum[-1]), shape) is not None
     decision = decide_equivalence(first, second, Tolerances(spectra=10.0**log_spec_tol))
     assert decision.verdict is Verdict.INVARIANTS_DIFFER
@@ -662,10 +662,11 @@ def _cut_a_state(dims, rank, low, rng):
 @example(dims=(1, 5, 3), kind="dense", log_low=0.0, seed=0)
 def test_cut_svds_lie_within_their_rounding_bound(dims, kind, log_low, seed):
     # Every cut, wide or tall, kept whole or deflated: each singular value
-    # is within cut_rounding of the SVD's, plus the SVD's own rounding; the
-    # left vectors are unitary and diagonalise the Gram matrix.  Cut A has
-    # rank ``seed`` (mod its full rank) when rank-deficient, and falls to
-    # 10^log_low when graded; the example at 64^3 has rank 4.
+    # is within the bound cut_svd returns of the SVD's, plus the SVD's own
+    # rounding; the left vectors are unitary and diagonalise the Gram
+    # matrix.  Cut A has rank ``seed`` (mod its full rank) when
+    # rank-deficient, and falls to 10^log_low when graded; the example at
+    # 64^3 has rank 4.
     rng = np.random.default_rng(seed)
     full = min(dims[0], dims[1] * dims[2])
     if kind == "dense":
@@ -676,14 +677,35 @@ def test_cut_svds_lie_within_their_rounding_bound(dims, kind, log_low, seed):
         state = _cut_a_state(dims, max(seed % full, 1), 10.0**log_low, rng)
     for cut in Cut:
         a = matricize(state, cut)
-        (vecs,), (spectrum,) = cut_svd(state.amplitudes[None], cut)
+        (vecs,), (spectrum,), (bound,) = cut_svd(state.amplitudes[None], cut)
         exact = np.linalg.svd(a, compute_uv=False)
         svd_rounding = sum(a.shape) * np.finfo(float).eps * exact[0]
-        bound = cut_rounding(spectrum, a.shape) + svd_rounding
-        assert np.all(np.abs(spectrum - exact) <= bound)
+        assert np.all(np.abs(spectrum - exact) <= bound + svd_rounding)
         assert unitarity_defect(vecs) <= 1e-13
         gram = vecs.conj().T @ a @ a.conj().T @ vecs
         assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-13
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d=st.integers(3, 6), seed=st.integers(0, 2**16))
+@example(d=4, seed=53)
+@example(d=3, seed=91)
+def test_cut_svds_of_straddling_spectra_descend_within_their_bound(d, seed):
+    # The d - 1 small singular values of every cut straddle the threshold
+    # where the Gram spectrum stops vouching for them, so the tail splits
+    # fall inside a cluster unless they move down to a gap.  The spectra
+    # descend, lie within the bound cut_svd returns plus the SVD's own
+    # rounding, and the left vectors are unitary.  The examples rose where
+    # the split was the first failing index.
+    state = straddle_state(d, np.random.default_rng(seed))
+    for cut in Cut:
+        a = matricize(state, cut)
+        (vecs,), (spectrum,), (bound,) = cut_svd(state.amplitudes[None], cut)
+        assert np.all(np.diff(spectrum) <= 0)
+        exact = np.linalg.svd(a, compute_uv=False)
+        svd_rounding = sum(a.shape) * np.finfo(float).eps * exact[0]
+        assert np.all(np.abs(spectrum - exact) <= bound + svd_rounding)
+        assert unitarity_defect(vecs) <= 1e-13
 
 
 def _assert_certified(decision, first, second):
@@ -828,7 +850,7 @@ def test_exact_rank_two_lu_pairs_are_never_refuted(seed):
     assume(tensor.any())
     state, rotated = exact_lu_pair(tensor, [gaussian_skew(rng, 3) for _ in range(3)])
     for cut in Cut:
-        _, spectra = cut_svd(np.stack((state.amplitudes, rotated.amplitudes)), cut)
+        _, spectra, _ = cut_svd(np.stack((state.amplitudes, rotated.amplitudes)), cut)
         for spectrum in spectra:
             assert gram_delta(spectrum[0], spectrum[-1], (3, 9)) is None
     decision = decide_equivalence(state, rotated)
@@ -1261,10 +1283,13 @@ def test_stacked_cut_svds_give_each_state_its_own_bits(dims):
         for count in (2, 3):
             stack = np.stack([state.amplitudes for state in stacked[:count]])
             for cut in Cut:
-                for state, vecs, spectrum in zip(stacked, *cut_svd(stack, cut)):
-                    (own_vecs,), (own_spectrum,) = cut_svd(state.amplitudes[None], cut)
+                for state, vecs, spectrum, bound in zip(stacked, *cut_svd(stack, cut)):
+                    (own_vecs,), (own_spectrum,), (own_bound,) = cut_svd(
+                        state.amplitudes[None], cut
+                    )
                     assert vecs.tobytes() == own_vecs.tobytes()
                     assert spectrum.tobytes() == own_spectrum.tobytes()
+                    assert bound == own_bound
     rows, cols = matricize(states[0], Cut.A).shape
     spectra = cut_svd(np.stack([state.amplitudes for state in mixed]), Cut.A)[1]
     falls = [gram_delta(s[0], s[-1], (rows, cols)) is None for s in spectra]

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 
 from triequiv.equivalence import _PHASE_CUTOFF, _PHASE_TOL
-from triequiv.states import TripartiteState
+from triequiv.states import TripartiteState, apply_local_unitaries, random_unitary
+from triequiv.tolerances import DEFAULT_TOLERANCES
 
 RT2 = np.sqrt(2.0)
 RT3 = np.sqrt(3.0)
@@ -291,3 +292,25 @@ def gaussian_skew(rng, d, bound=2):
     """A d x d skew-Hermitian matrix B - B^dagger with Gaussian-integer B."""
     re, im = rng.integers(-bound, bound + 1, (2, d, d))
     return (re - re.T) + 1j * (im + im.T)
+
+
+def straddle_state(d, rng):
+    """A d^3 Schmidt state whose d - 1 small values straddle the deflation
+    threshold of its cuts, rotated by random local unitaries.
+
+    A d x d^2 cut keeps its Gram spectrum where delta / sigma, delta =
+    (d + d^2) eps sigma_1^2, is within the default ``spectra`` tolerance,
+    so at sigma above t = (d + d^2) eps / tolerance.  The state is
+    sum_i s_i |iii> with s_2..s_d = t (1 + U(-w, w)) for a spread w =
+    10^U(-6, -2), and s_1 = sqrt(1 - sum of their squares).
+    """
+    t = (d + d * d) * np.finfo(float).eps / DEFAULT_TOLERANCES.spectra
+    spread = 10.0 ** rng.uniform(-6, -2)
+    tail = t * (1 + rng.uniform(-spread, spread, d - 1))
+    amps = np.zeros((d, d, d), dtype=complex)
+    amps[np.arange(d), np.arange(d), np.arange(d)] = [
+        math.sqrt(1 - np.sum(tail**2)),
+        *tail,
+    ]
+    factors = (random_unitary(d, rng) for _ in range(3))
+    return apply_local_unitaries(TripartiteState(amps), *factors)
