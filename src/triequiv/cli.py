@@ -96,9 +96,8 @@ def _cmd_invariants(args) -> int:
         "power_sums": {},
         "spectra": {},
     }
-    for cut in Cut:
-        spectrum = singular_spectrum(state, cut)
-        values = power_sums(spectrum, min(state.dims))
+    spectra = [singular_spectrum(state, cut) for cut in Cut]
+    for cut, spectrum, values in zip(Cut, spectra, power_sums(spectra, min(state.dims))):
         report["power_sums"][cut.value] = list(values)
         report["spectra"][cut.value] = [float(s) for s in spectrum]
         rendered = " ".join(format(v, ".12g") for v in values)
@@ -134,18 +133,15 @@ def _decision_report(
     elapsed: float,
     inputs: tuple[str, str],
 ) -> dict:
+    first, second = decision.spectra
+    sums = [list(values) for values in power_sums([*first, *second], min(dims))]
+    cuts = [cut.value for cut in Cut]
     report = {
         "schema": DECISION_SCHEMA,
         "inputs": list(inputs),
         "dims": list(dims),
         "verdict": decision.verdict.value,
-        "power_sums": {
-            side: {
-                cut.value: list(power_sums(spectrum, min(dims)))
-                for cut, spectrum in zip(Cut, spectra)
-            }
-            for side, spectra in zip(("first", "second"), decision.spectra)
-        },
+        "power_sums": {"first": dict(zip(cuts, sums[:3])), "second": dict(zip(cuts, sums[3:]))},
         "residual": decision.residual,
         "tolerances": dataclasses.asdict(tols),
         "elapsed_seconds": elapsed,

@@ -23,6 +23,7 @@ a missing ``dims:`` line, then the first out-of-range or repeated index.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import json
 import warnings
@@ -120,16 +121,18 @@ def _walk(lines, source: str, index_count: int):
                 value = complex(float(re), float(im))
             except ValueError as exc:
                 raise StateFormatError(f"{where}: bad record: {exc}") from None
-            if not np.isfinite(value):
+            if not cmath.isfinite(value):
                 raise StateFormatError(
                     f"{where}: bad record: amplitude {re} {im} is not finite"
                 )
             values.append(value)
     if dims is None:
         raise StateFormatError(f"{source}: missing dims line")
-    # Indices past int64 are out of range; an object array keeps them as ints.
-    indices = np.array(index_rows, dtype=object).reshape(-1, index_count).T
-    return dims, indices, np.array(values, dtype=np.complex128)
+    try:
+        indices = np.array(index_rows, dtype=np.int64)
+    except OverflowError:  # past int64, so out of range: an object array keeps them
+        indices = np.array(index_rows, dtype=object)
+    return dims, indices.reshape(-1, index_count).T, np.array(values, dtype=np.complex128)
 
 
 def _fill(dims, indices, values, body, source: str) -> np.ndarray:
@@ -258,5 +261,9 @@ def matrix_pairs(matrix: np.ndarray) -> list[list[list[float]]]:
 
 
 def report_to_json(report: dict | list) -> str:
-    """Stable rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """One line: sorted keys, ``": "`` after each key, then a newline.
+
+    The C encoder renders it (any ``indent`` takes the pure-Python one);
+    ``python -m json.tool`` pretty-prints a report.
+    """
+    return json.dumps(report, sort_keys=True, separators=(",", ": ")) + "\n"

@@ -19,13 +19,19 @@ def singular_spectrum(state: TripartiteState, cut: Cut) -> np.ndarray:
     return cut_svd(state.amplitudes[None], cut)[1][0]
 
 
-def power_sums(spectrum, max_order: int) -> tuple[float, ...]:
-    """Tr(rho^alpha), alpha = 1..max_order, from the singular values of rho's cut.
+def power_sums(spectra, max_order: int) -> list[tuple[float, ...]]:
+    """Tr(rho^alpha), alpha = 1..max_order: one tuple per cut's singular values in ``spectra``.
 
-    The reports print min(K, M, N) orders, which need not fix the spectrum: cut p
-    has up to min(d_p, KMN/d_p) eigenvalues (max_order = d_p fixes it).
+    Each sum has the bits of ``np.sum(np.square(s) ** a)``: all squares are raised
+    once per order by a scalar exponent (numpy's ``pow`` with an array of exponents
+    rounds differently), then summed per spectrum.  The reports print min(K, M, N)
+    orders, which need not fix the spectrum: cut p has up to min(d_p, KMN/d_p)
+    eigenvalues (max_order = d_p fixes it).
     """
-    return tuple(float(np.sum(np.square(spectrum) ** a)) for a in range(1, max_order + 1))
+    lam = np.square(np.concatenate(spectra))
+    powers = np.array([lam**a for a in range(1, max_order + 1)]).reshape(max_order, lam.size)
+    blocks = np.split(powers, np.cumsum([len(s) for s in spectra[:-1]]), axis=1)
+    return [tuple(block.sum(axis=1).tolist()) for block in blocks]
 
 
 def power_sum_invariants(
@@ -36,7 +42,7 @@ def power_sum_invariants(
         max_order = min(state.dims)
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    return power_sums(singular_spectrum(state, cut), max_order)
+    return power_sums([singular_spectrum(state, cut)], max_order)[0]
 
 
 def check_nested(outer: int, inner: int, alpha: int, beta: int) -> None:

@@ -76,7 +76,8 @@ class TestInvariantsCommand:
         assert "--nested" in capsys.readouterr().err
         assert main(["invariants", missing, "--nested", "2", "1", "1", "1"]) == 65
 
-    @pytest.mark.parametrize("dims", [(8, 8, 8), (12, 12, 12)])
+    # 4x8x16: the cuts' spectra have 4, 8 and 16 values.
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (12, 12, 12), (4, 8, 16)])
     def test_power_sums_and_spectra_are_the_decisions(self, dims, tmp_path, capsys):
         # Both commands read one cut factorisation, so they print the same
         # bits.
@@ -255,7 +256,9 @@ class TestCheckCommand:
         p2.write_text(serialize_state(ghz_state()))
         code = main(["check", *golden_files, str(p1), str(p2), "--json"])
         assert code == 1  # worst verdict across pairs
-        reports = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("]\n")  # one list, one line
+        reports = json.loads(out)
         assert [r["verdict"] for r in reports] == ["equivalent-d1", "invariants-differ"]
 
     @pytest.fixture

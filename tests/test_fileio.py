@@ -19,9 +19,17 @@ from triequiv.fileio import (
     serialize_matrix,
     serialize_state,
 )
-from triequiv.states import TripartiteState, normalized, random_state, random_unitary
-from triequiv.tolerances import NORM_TOL
-from util import RT2, golden_pair_222, oracle_document, oracle_matrix_pairs
+from triequiv.cli import _decision_report
+from triequiv.equivalence import decide_equivalence
+from triequiv.states import (
+    TripartiteState,
+    apply_local_unitaries,
+    normalized,
+    random_state,
+    random_unitary,
+)
+from triequiv.tolerances import NORM_TOL, Tolerances
+from util import RT2, golden_pair_222, oracle_document, oracle_json, oracle_matrix_pairs
 
 
 class TestStateRoundTrip:
@@ -653,6 +661,14 @@ class TestTwoReaders:
                 parse_state("dims: 2 2 2\n1.0 1 1  1 0\n", source="s")
         assert walk.call_count == 2
 
+    def test_the_walk_keeps_int64_indices_where_every_index_fits(self):
+        for big, dtype in (("9223372036854775807", np.int64), ("9223372036854775808", object)):
+            dims, indices, values = fileio._walk(
+                ["dims: 2 1 1", "1 1 1  1 0", f"{big} 1 1  0 1"], "s", 3
+            )
+            assert indices.dtype == dtype and indices.shape == (3, 2)
+            assert indices[:, 1].tolist() == [int(big), 1, 1]
+
     @pytest.mark.parametrize(
         "token, message",
         [
@@ -714,6 +730,18 @@ class TestSeventeenDigits:
 
 
 class TestReports:
+    def test_reports_render_on_one_line_with_sorted_keys(self):
+        state = random_state((2, 3, 2), seed=4)
+        other = apply_local_unitaries(state, *(random_unitary(d, seed=d) for d in state.dims))
+        decision = decide_equivalence(state, other)
+        report = _decision_report(decision, state.dims, Tolerances(), 1.5e-3, ("a", "b"))
+        assert report["certificate"] is not None
+        for value in (report, [report, report], {"z": [{"b": 1, "a": None}], "y": "x: y"}):
+            text = report_to_json(value)
+            assert text == oracle_json(value) + "\n"
+            assert text.count("\n") == 1
+            assert json.loads(text) == value
+
     def test_json_round_trip(self):
         report = {
             "schema": "triequiv.decision/2",

@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triequiv.invariants import (
     nested_invariant,
     power_sum_invariants,
+    power_sums,
     singular_spectrum,
 )
 from triequiv.states import (
@@ -18,6 +21,9 @@ from triequiv.states import (
 from util import basis_state, golden_pair_222, golden_pair_223, oracle_nested
 
 DIMS = [(2, 2, 2), (2, 2, 3), (2, 3, 4), (3, 3, 3)]
+# Singular values of up to 20 per cut; zeros, which rank-deficient cuts end
+# in, are drawn as often as the rest.
+SPECTRUM = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=20)
 
 
 class TestPowerSums:
@@ -38,6 +44,22 @@ class TestPowerSums:
         state = basis_state((2, 3, 2), (0, 1, 1))
         inv = power_sum_invariants(state, cut, max_order=3)
         np.testing.assert_allclose(inv, [1.0, 1.0, 1.0], atol=1e-12)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(spectra=st.lists(SPECTRUM, min_size=1, max_size=6), max_order=st.integers(0, 20))
+    # numpy's pow with an array of exponents can round 0.16 ** 2 otherwise
+    # than the square that a scalar exponent 2 takes.
+    @example(spectra=[[0.4]], max_order=2)
+    @example(spectra=[[0.4], [0.9, 0.3, 0.0], list(np.linspace(1.0, 0.05, 20))], max_order=20)
+    def test_power_sums_keep_the_bits_of_one_sum_per_spectrum_and_order(
+        self, spectra, max_order
+    ):
+        spectra = [np.array(s) for s in spectra]
+        expected = [
+            tuple(float(np.sum(np.square(s) ** a)) for a in range(1, max_order + 1))
+            for s in spectra
+        ]
+        assert power_sums(spectra, max_order) == expected
 
     def test_default_order_is_min_dim(self):
         state = random_state((2, 3, 4), seed=0)

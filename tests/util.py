@@ -1,5 +1,6 @@
 """Shared reference states, gates, and loop-based oracles for the tests."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -94,6 +95,17 @@ def oracle_matrix_pairs(matrix):
     """Loop-based reference for ``matrix_pairs``: one [re, im] pair per entry."""
     matrix = np.asarray(matrix, dtype=np.complex128)
     return [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
+
+
+def oracle_json(value) -> str:
+    """Recursive reference for ``report_to_json``, less its newline: one line,
+    keys sorted at every depth, ": " after each key, "," alone between items."""
+    if isinstance(value, dict):
+        items = (json.dumps(key) + ": " + oracle_json(value[key]) for key in sorted(value))
+        return "{" + ",".join(items) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(map(oracle_json, value)) + "]"
+    return json.dumps(value)
 
 
 def oracle_nested(amps, outer, inner, alpha, beta):
