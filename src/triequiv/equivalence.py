@@ -14,12 +14,12 @@ map between two states is block-diagonal between their frames, one block per
 eigenvalue group, and carries one core onto the other.
 ``gauge_search`` looks for those blocks: in closed form when at most one party
 has a group of several vectors, otherwise (or under noise) by alternating
-per-party Procrustes steps on the two cores.  When every group is a single
-vector and the phases admit no solution, a cycle of core entries whose phase
-product is off by more than noise within the tolerance can explain ends the
-search before any sweep.  The answer to an equivalent pair is the certificate
-(U_A, U_B, U_C) whose U_A is one more Procrustes step on the raw amplitude
-tensors; every Procrustes step is :func:`_refit`.
+per-party Procrustes steps on the two cores; every Procrustes step is
+:func:`_refit`.  When every group is a single vector and the phases admit no
+solution, a cycle of core entries whose phase product is off by more than
+noise within the tolerance can explain ends the search before any sweep.
+The answer to an equivalent pair is the certificate (U_A, U_B, U_C) as the
+search built it, checked once against the raw amplitude tensors.
 """
 
 from __future__ import annotations
@@ -232,40 +232,54 @@ def _solve_angles(
     return x, combo[len(pivots) :]
 
 
-def _phase_start(
-    chi: np.ndarray, weight: np.ndarray, significant: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _phase_read(ratio, weight: np.ndarray) -> tuple | None:
     """The first two sweeps of :func:`_solve_phase_product` in closed form.
 
-    With beta_s0 = phi_p0 = 1 at the strongest entry (s0, p0, q0), the
-    first sweep fixes every psi_q from the fibre (s0, p0, :), and the second
-    every phi_p from the strongest entry of slab (s0, p, :) and every beta_s
-    from that of row s of slab (:, p0, :); ``argmax`` takes the lowest index
-    among ties, as the sweeps' stable sort does.  Each factor is the sweep's
-    quotient, bit for bit; the division by 1 stays, as it turns a -0.0 part
-    into the sweeps' +0.0.  Returns the factors if they hold on every
-    significant entry within ``_PHASE_TOL``; None if an entry misses, or a
-    fibre entry or a slab's strongest entry is not significant (a factor
-    would be left to later sweeps).
+    ``ratio(index)`` gives the phase ratios chi of the entries at ``index``;
+    only the fibre (s0, p0, :) and the strongest entry of each slab are
+    read.  With beta_s0 = phi_p0 = 1 at the strongest entry (s0, p0, q0), the
+    first sweep fixes every psi_q from the fibre, and the second every phi_p
+    from the strongest entry of slab (s0, p, :) and every beta_s from that of
+    row s of slab (:, p0, :); ``argmax`` takes the lowest index among ties,
+    as the sweeps' stable sort does.  Each factor is the sweep's quotient,
+    bit for bit; the division by 1 stays, as it turns a -0.0 part into the
+    sweeps' +0.0.  Returns the factors, or None if a fibre entry or a slab's
+    strongest entry is not significant (a factor would be left to later
+    sweeps).  Nothing checks the other entries.
     """
-    r, m, _ = chi.shape
-    s0, p0, _ = np.unravel_index(np.argmax(weight), chi.shape)
+    r, m, _ = weight.shape
+    s0, p0, q0 = np.unravel_index(np.argmax(weight), weight.shape)
     at_p, at_s = weight[s0].argmax(axis=1), weight[:, p0].argmax(axis=1)
+    floor = _PHASE_CUTOFF * float(weight[s0, p0, q0])
     if not (
-        significant[s0, p0].all()
-        and significant[s0, np.arange(m), at_p].all()
-        and significant[np.arange(r), p0, at_s].all()
+        (weight[s0, p0] > floor).all()
+        and (weight[s0, np.arange(m), at_p] > floor).all()
+        and (weight[np.arange(r), p0, at_s] > floor).all()
     ):
         return None
     one = np.complex128(1)  # beta_s0 and phi_p0, the gauge choice
-    psi = chi[s0, p0] / one
-    phi = chi[s0, np.arange(m), at_p] / (one * psi[at_p])
-    beta = chi[np.arange(r), p0, at_s] / (one * psi[at_s])
+    psi = ratio((s0, p0)) / one
+    phi = ratio((s0, np.arange(m), at_p)) / (one * psi[at_p])
+    beta = ratio((np.arange(r), p0, at_s)) / (one * psi[at_s])
     phi[p0] = beta[s0] = one
+    return beta, phi, psi
+
+
+def _phase_start(
+    chi: np.ndarray, weight: np.ndarray, significant: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """:func:`_phase_read` of ``chi``, if its factors hold on every significant entry.
+
+    Returns the factors if each significant entry is within ``_PHASE_TOL`` of
+    their product; None if an entry misses or the read returns None.
+    """
+    if (phases := _phase_read(chi.__getitem__, weight)) is None:
+        return None
+    beta, phi, psi = phases
     miss = np.abs(chi - beta[:, None, None] * phi[:, None] * psi)
     if np.any(significant & (miss > _PHASE_TOL)):
         return None
-    return beta, phi, psi
+    return phases
 
 
 def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
@@ -324,7 +338,7 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
             entries = single[first[free]]
             # Fortran-ordered, so prod(axis=0) gives scalar products' bits;
             # elementwise or C-ordered products may not, and certificates would
-            # change.  _phase_start matches only as its products hold a factor 1.
+            # change.  _phase_read matches only as its products hold a factor 1.
             others = np.where(unknown[:, entries], 1.0, value[nodes[:, entries]])
             value[free] = target[entries] / others.prod(axis=0)
             known[free] = True
@@ -362,6 +376,13 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     keep = np.flatnonzero(cycles[best])
     index = (nodes[:, rows[keep]] - np.array([[0], [r], [r + m]])).T
     return phases, (index, cycles[best, keep].astype(int), float(holonomy[best]))
+
+
+def _diagonal_start(core: np.ndarray, target: np.ndarray, phases) -> tuple[list, float]:
+    """Diagonal G from per-party phases, and the residual ||target - G core||."""
+    outer = phases[0][:, None, None] * phases[1][:, None] * phases[2]
+    residual = float(np.linalg.norm(target - outer * core))
+    return [np.diag(phase) for phase in phases], residual
 
 
 def _sweep(core: np.ndarray, target: np.ndarray, g: list) -> float:
@@ -483,36 +504,43 @@ def gauge_search(
     U_p = E'_p G_p E_p^dagger, and since the bases are unitary the frame
     residual ||core' - (G_A (x) G_B (x) G_C) core|| is the raw residual of
     (U_A, U_B, U_C).  When every eigenvalue group is a single vector, the
-    G_p of an LU pair are diagonal phases and the start is their closed-form
-    solve (the phases as the solve assigned them when they are inconsistent,
-    as under noise); when only one party has a group of several vectors, the
-    start is :func:`_one_block_start`; otherwise it is the identity.  If the
-    phase solve fails on a cycle of core entries whose holonomy exceeds the
-    bound of :func:`_obstruction`, no map within ``tols.reconstruction``
-    exists and no sweep is run.  Otherwise, until the residual passes
-    ``tols.reconstruction`` or ``budget`` sweeps are spent, each sweep
-    updates every G_p in turn by Procrustes, and a sweep that gains less
-    than ``_MIN_GAIN`` restarts from a random unitary that is block-diagonal
-    over the first frame's groups, drawn from one fixed generator, so the
-    search is deterministic.  Returns the factors with the lowest residual
+    G_p of an LU pair are diagonal phases: the start is first the
+    :func:`_phase_read` of the phase ratios of the few core entries it
+    needs, and the search ends there when that start's residual passes
+    ``tols.reconstruction``.  Only when the read leaves a factor open or
+    its start misses are the whole cores' phase ratios formed and solved by
+    :func:`_solve_phase_product` (the phases as the solve assigned them when
+    they are inconsistent, as under noise).  When only one party has a group
+    of several vectors, the start is :func:`_one_block_start`; otherwise it
+    is the identity.  If the phase solve fails on a cycle of core entries
+    whose holonomy exceeds the bound of :func:`_obstruction`, no map within
+    ``tols.reconstruction`` exists and no sweep is run.  Otherwise, until
+    the residual passes ``tols.reconstruction`` or ``budget`` sweeps are
+    spent, each sweep updates every G_p in turn by Procrustes, and a sweep
+    that gains less than ``_MIN_GAIN`` restarts from a random unitary that
+    is block-diagonal over the first frame's groups, drawn from one fixed
+    generator, so the search is deterministic.  Returns the factors with the lowest residual
     reached, that residual, and the obstruction (None when the search ran).
     """
     core, target = first.core, second.core
     if core.shape != target.shape:
         raise ValueError(f"shape mismatch: {core.shape} vs {target.shape}")
-    phases = [np.ones(d) for d in core.shape]
     obstruction = None
     split = [not _joined(vals).any() for vals in first.eigenvalues]
-    if all(split):
-        phases, cycle = _solve_phase_product(_phase_ratio(target, core), np.abs(core))
-        if cycle is not None:
-            obstruction = _obstruction(first, cycle, tols)
     if split.count(False) == 1:
         g, best = _one_block_start(core, target, split.index(False))
+    elif not all(split):
+        g, best = _diagonal_start(core, target, [np.ones(d) for d in core.shape])
     else:
-        outer = phases[0][:, None, None] * phases[1][:, None] * phases[2]
-        best = float(np.linalg.norm(target - outer * core))
-        g = [np.diag(phase) for phase in phases]
+        weight = np.abs(core)
+        phases = _phase_read(lambda index: _phase_ratio(target[index], core[index]), weight)
+        if phases is not None:
+            g, best = _diagonal_start(core, target, phases)
+        if phases is None or best > tols.reconstruction:
+            phases, cycle = _solve_phase_product(_phase_ratio(target, core), weight)
+            if cycle is not None:
+                obstruction = _obstruction(first, cycle, tols)
+            g, best = _diagonal_start(core, target, phases)
     best_g = list(g)
     # Built at the first restart, which a generic pair never reaches.
     groups = rng = None
@@ -545,15 +573,17 @@ def _certify(
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float] | None:
     """Verified certificate (U_A, U_B, U_C) and its residual, or None.
 
-    U_B and U_C stay as the search built them, products of unitaries, and
-    U_A is their :func:`_refit` on the raw amplitude tensors.  The certificate
-    stands only if its residual and every factor's unitarity defect pass.
+    The factors are checked as the search built them, products of unitaries:
+    the certificate stands only if ||psi' - (U_A (x) U_B (x) U_C) psi|| on
+    the raw amplitude tensors passes ``tols.reconstruction`` and every
+    factor's unitarity defect passes ``tols.unitarity``.
     """
-    g = list(factors)
-    g[0], residual = _refit(state.amplitudes, other.amplitudes, 0, g)
-    if residual > tols.reconstruction or max(map(unitarity_defect, g)) > tols.unitarity:
+    mapped = _mode_products(state.amplitudes, list(factors))
+    residual = float(np.linalg.norm(other.amplitudes - mapped))
+    defect = max(map(unitarity_defect, factors))
+    if residual > tols.reconstruction or defect > tols.unitarity:
         return None
-    return tuple(g), residual
+    return factors, residual
 
 
 def _state_frame(state: TripartiteState, bases: tuple, spectra: tuple) -> StateFrame:
@@ -577,12 +607,13 @@ def decide_equivalence(
     a cut whose spectra differ proves inequivalence outright.  Otherwise the
     same factorisations give both frames and :func:`gauge_search` spends at
     most ``gauge_budget`` sweeps looking for local unitaries between them.  A
-    candidate whose frame residual passes is re-verified against the raw
-    tensors by :func:`_certify` and returned as ``EQUIVALENT_D1`` with the
-    certificate (U_A, U_B, U_C).  Anything else is ``INCONCLUSIVE`` with the
-    lowest residual reached, and with the phase obstruction when one ended
-    the search before any sweep - never a claim of inequivalence.  States of
-    different dimensions, or a negative ``gauge_budget``, raise ValueError.
+    candidate whose frame residual passes is checked, as the search built
+    it, against the raw tensors by :func:`_certify` and returned as
+    ``EQUIVALENT_D1`` with the certificate (U_A, U_B, U_C).  Anything else
+    is ``INCONCLUSIVE`` with the lowest residual reached, and with the phase
+    obstruction when one ended the search before any sweep - never a claim
+    of inequivalence.  States of different dimensions, or a negative
+    ``gauge_budget``, raise ValueError.
     """
     if state.dims != other.dims:
         raise ValueError(f"dimension mismatch: {state.dims} vs {other.dims}")

@@ -396,11 +396,11 @@ def test_unitarity_tolerance_controls_the_certificate(monkeypatch):
 
 def test_procrustes_is_reached_only_through_refit(monkeypatch):
     # Besides the cut factorisations, every SVD of a decision is the polar
-    # factor in _refit: a generic pair needs it only to certify, a state
-    # maximally entangled across A starts from the one-block refit, GHZ
-    # needs sweeps.  The cuts are factored by eigh alone: one of each cut's
-    # Gram matrix, and one of the deflated tail of each cut that needs it,
-    # here cut A of rank 2 of a 4x8x16 pair.
+    # factor in _refit: a generic pair needs none, a state maximally
+    # entangled across A starts from the one-block refit, GHZ needs sweeps.
+    # The cuts are factored by eigh alone: one of each cut's Gram matrix, and
+    # one of the deflated tail of each cut that needs it, here cut A of rank
+    # 2 of a 4x8x16 pair.
     callers = []
     eigh_shapes = []
     tail_shapes = []
@@ -438,12 +438,68 @@ def test_procrustes_is_reached_only_through_refit(monkeypatch):
         _assert_certified(decide_equivalence(first, second), first, second)
     refits = {user for caller, user in callers if caller == "_refit"}
     assert {caller for caller, _ in callers} == {"_refit"}
-    assert refits == {"_sweep", "_one_block_start", "_certify"}
+    assert refits == {"_sweep", "_one_block_start"}
     # One Gram matrix per cut of every state, each d x d.
     dims = [(3, 4, 5), (3, 3, 3), (2, 2, 2), (4, 8, 16), (4, 8, 16)]
     assert sorted(eigh_shapes) == sorted(d for shape in dims for d in shape * 2)
     # One tail per state of the rank-2 pair, past its two kept vectors: 2x2.
     assert tail_shapes == [2] * 2
+
+
+def test_the_certificate_is_the_searched_candidate(monkeypatch):
+    # _certify checks the factors gauge_search built and re-solves none of
+    # them: the certificate is the candidate bit for bit, and a U_A off by a
+    # global phase of 1e-8 is refused although the search reports a passing
+    # residual (a Procrustes refit of U_A would absorb the phase).
+    state, rotated, _ = _lu_pair((12, 12, 12), 0)
+    search, searches = equivalence.gauge_search, []
+    monkeypatch.setattr(equivalence, "gauge_search", _recorded(searches, "gauge_search"))
+    decision = decide_equivalence(state, rotated)
+    ((factors, residual, _),) = searches
+    _assert_certified(decision, state, rotated)
+    assert [u.tobytes() for u in decision.local_factors] == [u.tobytes() for u in factors]
+    assert residual <= 1e-9
+
+    def off(*args):
+        (u_a, u_b, u_c), residual, obstruction = search(*args)
+        return (u_a * np.exp(1e-8j), u_b, u_c), residual, obstruction
+
+    monkeypatch.setattr(equivalence, "gauge_search", off)
+    decision = decide_equivalence(state, rotated)
+    assert decision.verdict is Verdict.INCONCLUSIVE
+    assert decision.local_factors is None
+    assert decision.residual == residual
+
+
+def test_generic_pairs_read_the_phases_of_a_few_entries(monkeypatch):
+    # The start of a generic 12^3 pair reads the phase ratios of the fibre
+    # and of the slabs' strongest entries, 12 entries each, and passes: no
+    # phase ratio of the whole core and no phase solve.  psi against psi*
+    # misses the start, so the whole core's ratios are solved and give the
+    # obstruction.
+    calls, solves = [], []
+    phase_ratio = equivalence._phase_ratio
+
+    def record(after, before):
+        calls.append((sys._getframe(1).f_code.co_name, before.shape))
+        return phase_ratio(after, before)
+
+    monkeypatch.setattr(equivalence, "_phase_ratio", record)
+    monkeypatch.setattr(
+        equivalence, "_solve_phase_product", _recorded(solves, "_solve_phase_product")
+    )
+    state, rotated, _ = _lu_pair((12, 12, 12), 0)
+    _assert_certified(decide_equivalence(state, rotated), state, rotated)
+    assert solves == []
+    assert calls == [("<lambda>", (12,))] * 3
+
+    calls.clear()
+    state = random_state((4, 4, 4), 7)
+    decision = decide_equivalence(state, TripartiteState(state.amplitudes.conj()))
+    assert decision.verdict is Verdict.INCONCLUSIVE
+    assert decision.obstruction is not None
+    assert len(solves) == 1 and solves[0][1] is not None
+    assert calls == [("<lambda>", (4,))] * 3 + [("gauge_search", (4, 4, 4))]
 
 
 @pytest.mark.parametrize(
@@ -1266,6 +1322,65 @@ def test_phase_start_falls_back_on_conjugate_pairs(dims):
     _, cycle, started = _solve_both_ways(chi, np.abs(first.core))
     assert not started
     assert cycle is not None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+    log_noise=st.one_of(st.none(), st.floats(-13.0, -9.0)),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=(12, 12, 12), log_noise=None, seed=0)
+@example(dims=(12, 12, 12), log_noise=-9.0, seed=0)
+@example(dims=(1, 1, 1), log_noise=None, seed=0)
+@example(dims=(12, 1, 3), log_noise=None, seed=0)
+def test_the_start_gives_the_bits_of_the_whole_cores_solve(dims, log_noise, seed):
+    # Reading the ratios of a few entries gives the phases, and so the
+    # factors and the residual, of solving the whole cores' ratios, bit for
+    # bit, whether the start passes or the solve runs after it.
+    state, rotated, _ = _lu_pair(dims, seed)
+    if log_noise is not None:
+        rotated = _with_noise(rotated, 10.0**log_noise, np.random.default_rng(seed))
+    first, second = _frames(state, rotated)
+    assume(not any(equivalence._joined(vals).any() for vals in first.eigenvalues))
+    factors, residual, _ = gauge_search(first, second, budget=0)
+    chi = equivalence._phase_ratio(second.core, first.core)
+    phases, _ = equivalence._solve_phase_product(chi, np.abs(first.core))
+    g, want = equivalence._diagonal_start(first.core, second.core, phases)
+    assert residual == want
+    for u, e, e_p, g_p in zip(factors, first.bases, second.bases, g):
+        assert u.tobytes() == (e_p @ g_p @ e.conj().T).tobytes()
+
+
+def test_sweep_values_are_scalar_quotients_of_the_entries_that_fixed_them():
+    # Fibre entries (0, 0, q) for q >= 4 lie below the cutoff, as do the
+    # slab entries (0, p, q) and (s, 0, q): the read leaves psi_q open and a
+    # third sweep fixes it from the strongest entry (s, p, q), s, p >= 1, a
+    # quotient by beta_s * phi_p, two factors that are not 1.  Every value
+    # has the bits of the quotient of numpy scalars that fixed it (Python's
+    # complex divides differently).  An elementwise or C-ordered product of
+    # the known factors changes some of these bits, and so certificates.
+    rng = np.random.default_rng(0)
+    dims = (8, 8, 40)
+    chi = np.einsum("s,p,q->spq", *(np.exp(2j * np.pi * rng.random(d)) for d in dims))
+    weight = rng.uniform(1.0, 2.0, dims)
+    weight[0, 0, 0] = 10.0
+    weight[0, :, 4:] = weight[:, 0, 4:] = 1e-6
+    (beta, phi, psi), cycle = equivalence._solve_phase_product(chi, weight)
+    assert equivalence._phase_read(chi.__getitem__, weight) is None
+    assert cycle is None
+    assert beta[0] == phi[0] == 1
+    for q in range(4):
+        assert psi[q] == chi[0, 0, q]
+    for p in range(1, 8):
+        q = np.argmax(weight[0, p])
+        assert phi[p] == chi[0, p, q] / psi[q]
+    for s in range(1, 8):
+        q = np.argmax(weight[s, 0])
+        assert beta[s] == chi[s, 0, q] / psi[q]
+    for q in range(4, 40):
+        s, p = np.unravel_index(np.argmax(weight[:, :, q]), dims[:2])
+        assert psi[q] == chi[s, p, q] / (beta[s] * phi[p])
 
 
 @pytest.mark.parametrize(
