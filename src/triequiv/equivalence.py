@@ -188,7 +188,9 @@ def _cut_witness(
 
 def _phase_ratio(after: np.ndarray, before: np.ndarray) -> np.ndarray:
     """Unit complex numbers with the phases of after / before, entrywise."""
-    chi = after * before.conj()
+    # Not ``*``: from 256 KiB numpy elides the conj temporary into tmp *= after,
+    # whose operand order changes bits; a few entries must get the whole cores'.
+    chi = np.multiply(after, before.conj())
     return chi / np.maximum(np.abs(chi), 1e-300)
 
 
@@ -245,7 +247,7 @@ def _phase_read(ratio, weight: np.ndarray) -> tuple | None:
     bit for bit; the division by 1 stays, as it turns a -0.0 part into the
     sweeps' +0.0.  Returns the factors, or None if a fibre entry or a slab's
     strongest entry is not significant (a factor would be left to later
-    sweeps).  Nothing checks the other entries.
+    sweeps).  It checks nothing: a solve given it as ``start`` does.
     """
     r, m, _ = weight.shape
     s0, p0, q0 = np.unravel_index(np.argmax(weight), weight.shape)
@@ -265,24 +267,7 @@ def _phase_read(ratio, weight: np.ndarray) -> tuple | None:
     return beta, phi, psi
 
 
-def _phase_start(
-    chi: np.ndarray, weight: np.ndarray, significant: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """:func:`_phase_read` of ``chi``, if its factors hold on every significant entry.
-
-    Returns the factors if each significant entry is within ``_PHASE_TOL`` of
-    their product; None if an entry misses or the read returns None.
-    """
-    if (phases := _phase_read(chi.__getitem__, weight)) is None:
-        return None
-    beta, phi, psi = phases
-    miss = np.abs(chi - beta[:, None, None] * phi[:, None] * psi)
-    if np.any(significant & (miss > _PHASE_TOL)):
-        return None
-    return phases
-
-
-def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
+def _solve_phase_product(chi: np.ndarray, weight: np.ndarray, start=None) -> tuple:
     """Factor chi[s,p,q] = beta_s * phi_p * psi_q over significant entries.
 
     ``chi`` holds unit complex numbers; entries whose ``weight`` falls below
@@ -293,11 +278,10 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     gauge choice.  When no entry has exactly one unknown, a further factor
     set to 1 could lie on a cycle of entries that fixes it up to a root of
     unity, so the open entries are solved exactly instead, by
-    :func:`_solve_angles`.  A consistent solve that two sweeps complete, as
-    on the generic frames of LU pairs, is :func:`_phase_start`, which
-    reads the fibre and two slabs through the strongest entry and checks the
-    rest in one pass; only when it returns None are the entries sorted and
-    swept, with the same answer.
+    :func:`_solve_angles`.  ``start``, the caller's :func:`_phase_read` of
+    ``chi`` or None, is returned if one pass finds every significant entry
+    within ``_PHASE_TOL`` of its product; else the sweeps run, giving a
+    read's phases again, bit for bit, and the cycle.
 
     Returns (beta, phi, psi) and None, or on inconsistency the factors as
     assigned (every entry that fixed a factor holds) and a cycle.  The
@@ -310,8 +294,11 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     """
     r, m, n = chi.shape
     significant = weight > _PHASE_CUTOFF * float(weight.max())
-    if (phases := _phase_start(chi, weight, significant)) is not None:
-        return phases, None
+    if start is not None:
+        beta, phi, psi = start
+        miss = np.abs(chi - beta[:, None, None] * phi[:, None] * psi)
+        if not np.any(significant & (miss > _PHASE_TOL)):
+            return start, None
     s, p, q = np.nonzero(significant)
     strength = weight[s, p, q]
     # Tied entries keep index order, so the same entry fixes each factor.
@@ -401,8 +388,10 @@ def _one_block_start(
     and T the cores unfolded along p, T = G_p X D for D = diag(phi (x) psi),
     so T^dagger T = D^* X^dagger X D: the phase ratios of the two Gram
     matrices are conj(d_j) d_k.  They are factored on the Gram rows of the
-    strongest column for each index of the two parties, and G_p is the
-    :func:`_refit` of party p.  Returns the three G and the residual
+    strongest column for each index of the two parties by their
+    :func:`_phase_read`, unchecked (the start needs no cycle), or by
+    :func:`_solve_phase_product` if the read leaves a factor open; G_p is
+    the :func:`_refit` of party p.  Returns the three G and the residual
     ||T - G_p X D||.
     """
     x, t = unfold(core, p), unfold(target, p)
@@ -413,9 +402,9 @@ def _one_block_start(
     rows[strength.argmax(axis=0), np.arange(pair[1])] = True
     rows = np.flatnonzero(rows)
     gram, gram_t = x[:, rows].conj().T @ x, t[:, rows].conj().T @ t
-    (_, phi, psi), _ = _solve_phase_product(
-        _phase_ratio(gram_t, gram).reshape(-1, *pair), np.abs(gram).reshape(-1, *pair)
-    )
+    chi = _phase_ratio(gram_t, gram).reshape(-1, *pair)
+    weight = np.abs(gram).reshape(-1, *pair)
+    _, phi, psi = _phase_read(chi.__getitem__, weight) or _solve_phase_product(chi, weight)[0]
     g = [np.diag(phi), np.diag(psi)]
     g.insert(p, None)
     g[p], residual = _refit(core, target, p, g)
@@ -504,23 +493,25 @@ def gauge_search(
     U_p = E'_p G_p E_p^dagger, and since the bases are unitary the frame
     residual ||core' - (G_A (x) G_B (x) G_C) core|| is the raw residual of
     (U_A, U_B, U_C).  When every eigenvalue group is a single vector, the
-    G_p of an LU pair are diagonal phases: the start is first the
+    G_p of an LU pair are diagonal phases: the search reads them once, by
     :func:`_phase_read` of the phase ratios of the few core entries it
-    needs, and the search ends there when that start's residual passes
-    ``tols.reconstruction``.  Only when the read leaves a factor open or
-    its start misses are the whole cores' phase ratios formed and solved by
-    :func:`_solve_phase_product` (the phases as the solve assigned them when
-    they are inconsistent, as under noise).  When only one party has a group
-    of several vectors, the start is :func:`_one_block_start`; otherwise it
-    is the identity.  If the phase solve fails on a cycle of core entries
-    whose holonomy exceeds the bound of :func:`_obstruction`, no map within
+    needs, and ends there when that start's residual passes
+    ``tols.reconstruction``.  Otherwise the whole cores' ratios go, with
+    the read, to :func:`_solve_phase_product`, which checks the read or
+    sweeps; sweeps give a read's phases again, so only a start that the
+    read left open is rebuilt, from the phases as the solve assigned them
+    (inconsistent under noise).  When only one party has a group of several
+    vectors, the start is :func:`_one_block_start`; otherwise it is the
+    identity.  If the phase solve fails on a cycle of core entries whose
+    holonomy exceeds the bound of :func:`_obstruction`, no map within
     ``tols.reconstruction`` exists and no sweep is run.  Otherwise, until
     the residual passes ``tols.reconstruction`` or ``budget`` sweeps are
     spent, each sweep updates every G_p in turn by Procrustes, and a sweep
     that gains less than ``_MIN_GAIN`` restarts from a random unitary that
     is block-diagonal over the first frame's groups, drawn from one fixed
-    generator, so the search is deterministic.  Returns the factors with the lowest residual
-    reached, that residual, and the obstruction (None when the search ran).
+    generator, so the search is deterministic.  Returns the factors with
+    the lowest residual reached, that residual, and the obstruction (None
+    when the search ran).
     """
     core, target = first.core, second.core
     if core.shape != target.shape:
@@ -537,10 +528,11 @@ def gauge_search(
         if phases is not None:
             g, best = _diagonal_start(core, target, phases)
         if phases is None or best > tols.reconstruction:
-            phases, cycle = _solve_phase_product(_phase_ratio(target, core), weight)
+            solved, cycle = _solve_phase_product(_phase_ratio(target, core), weight, phases)
             if cycle is not None:
                 obstruction = _obstruction(first, cycle, tols)
-            g, best = _diagonal_start(core, target, phases)
+            if phases is None:
+                g, best = _diagonal_start(core, target, solved)
     best_g = list(g)
     # Built at the first restart, which a generic pair never reaches.
     groups = rng = None

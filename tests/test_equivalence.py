@@ -502,6 +502,53 @@ def test_generic_pairs_read_the_phases_of_a_few_entries(monkeypatch):
     assert calls == [("<lambda>", (4,))] * 3 + [("gauge_search", (4, 4, 4))]
 
 
+def test_each_start_reads_the_phases_once(monkeypatch):
+    # The search reads the phases once and hands a start that misses to the
+    # solve, which sweeps it again, bit for bit: psi against psi* takes one
+    # read and one start residual, and its obstruction is that of the sweeps
+    # alone.  The W state's read leaves a factor open, so the sweeps give its
+    # start.  The one-block start of a maxA pair takes its read as it
+    # stands, with no solve.
+    state = random_state((4, 4, 4), 7)
+    conjugate = TripartiteState(state.amplitudes.conj())
+    first, second = _frames(state, conjugate)
+    chi = equivalence._phase_ratio(second.core, first.core)
+    _, cycle = equivalence._solve_phase_product(chi, np.abs(first.core))
+    swept = equivalence._obstruction(first, cycle, Tolerances())
+    w = np.zeros((2, 2, 2), dtype=complex)
+    w[0, 0, 1] = w[0, 1, 0] = w[1, 0, 0] = 1.0
+    w = TripartiteState.from_unnormalized(w)
+    rng = np.random.default_rng(3)
+    w_rotated = apply_local_unitaries(w, *(random_unitary(2, rng) for _ in range(3)))
+    max_a = _max_entangled_a((4, 4, 4), rng)
+    max_a_rotated = apply_local_unitaries(max_a, *(random_unitary(4, rng) for _ in range(3)))
+
+    calls = {}
+    for name in ("_phase_read", "_diagonal_start", "_solve_phase_product"):
+        calls[name] = []
+        monkeypatch.setattr(equivalence, name, _recorded(calls[name], name))
+
+    def counted(first, second):
+        for results in calls.values():
+            results.clear()
+        decision = decide_equivalence(first, second)
+        return decision, {name: len(results) for name, results in calls.items()}
+
+    decision, counts = counted(state, conjugate)
+    assert counts == {"_phase_read": 1, "_diagonal_start": 1, "_solve_phase_product": 1}
+    assert decision.verdict is Verdict.INCONCLUSIVE
+    assert swept is not None and decision.obstruction == swept
+
+    decision, counts = counted(w, w_rotated)
+    _assert_certified(decision, w, w_rotated)
+    assert calls["_phase_read"] == [None]
+    assert counts == {"_phase_read": 1, "_diagonal_start": 1, "_solve_phase_product": 1}
+
+    decision, counts = counted(max_a, max_a_rotated)
+    _assert_certified(decision, max_a, max_a_rotated)
+    assert counts["_solve_phase_product"] == 0 and counts["_phase_read"] == 1
+
+
 @pytest.mark.parametrize(
     "dims, rank",
     [
@@ -1220,24 +1267,33 @@ def test_phase_solver_matches_flood_fill(dims, kind, seed):
 
 
 def _solve_both_ways(chi, weight):
-    """The phase solve, checked bit for bit against its sweeps alone.
+    """The phase solve from the read, checked bit for bit against the sweeps alone.
 
-    Returns its phases, its cycle and whether :func:`_phase_start` gave them.
+    Wherever :func:`_phase_read` gives phases, they are the sweeps' phases,
+    consistent or not; the solve given them as its start returns that start
+    itself exactly when no significant entry misses their product, and
+    otherwise the sweeps' phases and cycle.  Returns the solve's phases, its
+    cycle and whether it returned the start.
     """
-    starts = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(equivalence, "_phase_start", _recorded(starts, "_phase_start"))
-        phases, cycle = equivalence._solve_phase_product(chi, weight)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(equivalence, "_phase_start", lambda *args: None)
-        swept, swept_cycle = equivalence._solve_phase_product(chi, weight)
+    read = equivalence._phase_read(chi.__getitem__, weight)
+    swept, swept_cycle = equivalence._solve_phase_product(chi, weight)
+    phases, cycle = equivalence._solve_phase_product(chi, weight, read)
+    holds = False
+    if read is not None:
+        for got, want in zip(read, swept):
+            assert got.tobytes() == want.tobytes()
+        beta, phi, psi = read
+        miss = np.abs(chi - beta[:, None, None] * phi[:, None] * psi)
+        significant = weight > equivalence._PHASE_CUTOFF * weight.max()
+        holds = not np.any(significant & (miss > equivalence._PHASE_TOL))
+    assert (phases is read) is holds
     for got, want in zip(phases, swept):
         assert got.tobytes() == want.tobytes()
     assert (cycle is None) == (swept_cycle is None)
     if cycle is not None:
         for got, want in zip(cycle, swept_cycle):
             np.testing.assert_array_equal(got, want)
-    return phases, cycle, starts[0] is not None
+    return phases, cycle, holds
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -1250,10 +1306,11 @@ def _solve_both_ways(chi, weight):
 @example(dims=(12, 12, 12), log_noise=-9.0, seed=0)
 @example(dims=(1, 1, 1), log_noise=None, seed=0)
 @example(dims=(12, 1, 3), log_noise=None, seed=0)
-def test_phase_start_gives_the_sweeps_bits(dims, log_noise, seed):
+def test_phase_read_gives_the_sweeps_bits(dims, log_noise, seed):
     # Generic frames of LU pairs, with noise up to the reconstruction
-    # tolerance: where the closed-form start settles the solve, its phases
-    # are those of the sweeps, and where it does not, the sweeps run.
+    # tolerance: where the read gives phases, they are those of the sweeps;
+    # where they hold on every entry the solve returns them, and where they
+    # do not, the sweeps run.
     state, rotated, _ = _lu_pair(dims, seed)
     if log_noise is not None:
         rotated = _with_noise(rotated, 10.0**log_noise, np.random.default_rng(seed))
@@ -1262,7 +1319,7 @@ def test_phase_start_gives_the_sweeps_bits(dims, log_noise, seed):
 
 
 @pytest.mark.parametrize("dims", [(8, 8, 8), (12, 12, 12), (4, 8, 16), (3, 4, 5)])
-def test_phase_start_settles_generic_lu_pairs(dims):
+def test_phase_read_settles_generic_lu_pairs(dims):
     for trial in range(3):
         first, second = _frames(*_lu_pair(dims, trial)[:2])
         chi = equivalence._phase_ratio(second.core, first.core)
@@ -1280,7 +1337,7 @@ def test_phase_start_settles_generic_lu_pairs(dims):
         ("signed-zeros", True),
     ],
 )
-def test_phase_start_falls_back_only_when_a_factor_stays_open(case, started):
+def test_phase_read_falls_back_only_when_a_factor_stays_open(case, started):
     # The strongest entry is (1, 2, 0).  A fibre entry through it below the
     # cutoff, or a slab (1, p, :) without a significant entry, leaves a factor
     # to later sweeps; ties among the weights do not, as argmax breaks them
@@ -1313,9 +1370,9 @@ def test_phase_start_falls_back_only_when_a_factor_stays_open(case, started):
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4), (3, 5, 7)])
-def test_phase_start_falls_back_on_conjugate_pairs(dims):
-    # psi against psi*: the start's phases miss some entry, and the sweeps
-    # give the cycle.
+def test_phase_read_falls_back_on_conjugate_pairs(dims):
+    # psi against psi*: the read's phases, where it gives them, miss some
+    # entry, and the sweeps give them again, bit for bit, with the cycle.
     state = random_state(dims, 7)
     first, second = _frames(state, TripartiteState(state.amplitudes.conj()))
     chi = equivalence._phase_ratio(second.core, first.core)
@@ -1348,6 +1405,32 @@ def test_the_start_gives_the_bits_of_the_whole_cores_solve(dims, log_noise, seed
     phases, _ = equivalence._solve_phase_product(chi, np.abs(first.core))
     g, want = equivalence._diagonal_start(first.core, second.core, phases)
     assert residual == want
+    for u, e, e_p, g_p in zip(factors, first.bases, second.bases, g):
+        assert u.tobytes() == (e_p @ g_p @ e.conj().T).tobytes()
+
+
+def test_a_few_entries_give_the_bits_of_a_large_cores_ratios():
+    # From 256 KiB (16384 complex entries) numpy reuses a temporary operand of
+    # ``*`` as its output and multiplies in the other order, with other bits.
+    # The ratios of a few entries keep the whole cores' bits at that size
+    # too, so the read is the sweeps' phases, and a start that misses (noise
+    # 3e-10 on a 32x32x16 LU pair) keeps them, bit for bit.
+    state, rotated, _ = _lu_pair((32, 32, 16), 0)
+    noisy = _with_noise(rotated, 3e-10, np.random.default_rng(0))
+    first, second = _frames(state, noisy)
+    core, target = first.core, second.core
+    weight = np.abs(core)
+    read = equivalence._phase_read(
+        lambda index: equivalence._phase_ratio(target[index], core[index]), weight
+    )
+    phases, _ = equivalence._solve_phase_product(
+        equivalence._phase_ratio(target, core), weight
+    )
+    for got, want in zip(read, phases):
+        assert got.tobytes() == want.tobytes()
+    factors, residual, _ = gauge_search(first, second, budget=0)
+    g, want = equivalence._diagonal_start(core, target, phases)
+    assert residual == want > Tolerances().reconstruction
     for u, e, e_p, g_p in zip(factors, first.bases, second.bases, g):
         assert u.tobytes() == (e_p @ g_p @ e.conj().T).tobytes()
 
