@@ -247,7 +247,7 @@ def _phase_read(ratio, weight: np.ndarray) -> tuple | None:
     bit for bit; the division by 1 stays, as it turns a -0.0 part into the
     sweeps' +0.0.  Returns the factors, or None if a fibre entry or a slab's
     strongest entry is not significant (a factor would be left to later
-    sweeps).  It checks nothing: a solve given it as ``start`` does.
+    sweeps).  It checks nothing: its caller scores the start it gives.
     """
     r, m, _ = weight.shape
     s0, p0, q0 = np.unravel_index(np.argmax(weight), weight.shape)
@@ -267,7 +267,7 @@ def _phase_read(ratio, weight: np.ndarray) -> tuple | None:
     return beta, phi, psi
 
 
-def _solve_phase_product(chi: np.ndarray, weight: np.ndarray, start=None) -> tuple:
+def _solve_phase_product(chi: np.ndarray, weight: np.ndarray) -> tuple:
     """Factor chi[s,p,q] = beta_s * phi_p * psi_q over significant entries.
 
     ``chi`` holds unit complex numbers; entries whose ``weight`` falls below
@@ -278,10 +278,7 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray, start=None) -> tup
     gauge choice.  When no entry has exactly one unknown, a further factor
     set to 1 could lie on a cycle of entries that fixes it up to a root of
     unity, so the open entries are solved exactly instead, by
-    :func:`_solve_angles`.  ``start``, the caller's :func:`_phase_read` of
-    ``chi`` or None, is returned if one pass finds every significant entry
-    within ``_PHASE_TOL`` of its product; else the sweeps run, giving a
-    read's phases again, bit for bit, and the cycle.
+    :func:`_solve_angles`.
 
     Returns (beta, phi, psi) and None, or on inconsistency the factors as
     assigned (every entry that fixed a factor holds) and a cycle.  The
@@ -293,13 +290,7 @@ def _solve_phase_product(chi: np.ndarray, weight: np.ndarray, start=None) -> tup
     coefficients y_e, and wrap(sum_e y_e arg chi_e).
     """
     r, m, n = chi.shape
-    significant = weight > _PHASE_CUTOFF * float(weight.max())
-    if start is not None:
-        beta, phi, psi = start
-        miss = np.abs(chi - beta[:, None, None] * phi[:, None] * psi)
-        if not np.any(significant & (miss > _PHASE_TOL)):
-            return start, None
-    s, p, q = np.nonzero(significant)
+    s, p, q = np.nonzero(weight > _PHASE_CUTOFF * float(weight.max()))
     strength = weight[s, p, q]
     # Tied entries keep index order, so the same entry fixes each factor.
     strongest = np.argsort(-strength, kind="stable")
@@ -387,12 +378,11 @@ def _one_block_start(
     The other two parties' G are then diagonal phases phi, psi, and with X
     and T the cores unfolded along p, T = G_p X D for D = diag(phi (x) psi),
     so T^dagger T = D^* X^dagger X D: the phase ratios of the two Gram
-    matrices are conj(d_j) d_k.  They are factored on the Gram rows of the
-    strongest column for each index of the two parties by their
-    :func:`_phase_read`, unchecked (the start needs no cycle), or by
-    :func:`_solve_phase_product` if the read leaves a factor open; G_p is
-    the :func:`_refit` of party p.  Returns the three G and the residual
-    ||T - G_p X D||.
+    matrices are conj(d_j) d_k.  :func:`_phase_read` factors them from a
+    few ratios on the Gram rows of the strongest column for each index of
+    the two parties, unchecked (the start needs no cycle); all ratios are
+    formed only if it leaves a factor open, for :func:`_solve_phase_product`.
+    G_p is party p's :func:`_refit`.  Returns the three G and ||T - G_p X D||.
     """
     x, t = unfold(core, p), unfold(target, p)
     pair = core.shape[:p] + core.shape[p + 1 :]
@@ -401,10 +391,10 @@ def _one_block_start(
     rows[np.arange(pair[0]), strength.argmax(axis=1)] = True
     rows[strength.argmax(axis=0), np.arange(pair[1])] = True
     rows = np.flatnonzero(rows)
-    gram, gram_t = x[:, rows].conj().T @ x, t[:, rows].conj().T @ t
-    chi = _phase_ratio(gram_t, gram).reshape(-1, *pair)
-    weight = np.abs(gram).reshape(-1, *pair)
-    _, phi, psi = _phase_read(chi.__getitem__, weight) or _solve_phase_product(chi, weight)[0]
+    gram, gram_t = ((y[:, rows].conj().T @ y).reshape(-1, *pair) for y in (x, t))
+    weight = np.abs(gram)
+    read = _phase_read(lambda index: _phase_ratio(gram_t[index], gram[index]), weight)
+    _, phi, psi = read or _solve_phase_product(_phase_ratio(gram_t, gram), weight)[0]
     g = [np.diag(phi), np.diag(psi)]
     g.insert(p, None)
     g[p], residual = _refit(core, target, p, g)
@@ -496,13 +486,13 @@ def gauge_search(
     G_p of an LU pair are diagonal phases: the search reads them once, by
     :func:`_phase_read` of the phase ratios of the few core entries it
     needs, and ends there when that start's residual passes
-    ``tols.reconstruction``.  Otherwise the whole cores' ratios go, with
-    the read, to :func:`_solve_phase_product`, which checks the read or
-    sweeps; sweeps give a read's phases again, so only a start that the
-    read left open is rebuilt, from the phases as the solve assigned them
-    (inconsistent under noise).  When only one party has a group of several
-    vectors, the start is :func:`_one_block_start`; otherwise it is the
-    identity.  If the phase solve fails on a cycle of core entries whose
+    ``tols.reconstruction``.  Otherwise the whole cores' ratios go to
+    :func:`_solve_phase_product`; its sweeps give a read's phases again,
+    bit for bit, so a read's start stands and only one the read left open
+    is built, from the phases as the solve assigned them (inconsistent
+    under noise).  When only one party has a group of several vectors, the
+    start is :func:`_one_block_start`; otherwise it is the identity.  If
+    the phase solve fails on a cycle of core entries whose
     holonomy exceeds the bound of :func:`_obstruction`, no map within
     ``tols.reconstruction`` exists and no sweep is run.  Otherwise, until
     the residual passes ``tols.reconstruction`` or ``budget`` sweeps are
@@ -528,7 +518,7 @@ def gauge_search(
         if phases is not None:
             g, best = _diagonal_start(core, target, phases)
         if phases is None or best > tols.reconstruction:
-            solved, cycle = _solve_phase_product(_phase_ratio(target, core), weight, phases)
+            solved, cycle = _solve_phase_product(_phase_ratio(target, core), weight)
             if cycle is not None:
                 obstruction = _obstruction(first, cycle, tols)
             if phases is None:

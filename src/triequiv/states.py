@@ -7,6 +7,7 @@ of the spectra it returns."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -240,6 +241,13 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
+@functools.cache
+def _lu_path(dims: tuple[int, int, int]) -> tuple:
+    """numpy's greedy path for :func:`apply_local_unitaries`: it reads shapes alone."""
+    operands = [np.empty((d, d)) for d in dims] + [np.empty(dims)]
+    return tuple(np.einsum_path("ia,jb,kc,abc->ijk", *operands, optimize=True)[0])
+
+
 def apply_local_unitaries(
     state: TripartiteState,
     u1: np.ndarray,
@@ -266,7 +274,8 @@ def apply_local_unitaries(
             raise ValueError(
                 f"factor {pos} is not unitary (defect {defect:.3e} > {tol})"
             )
-    out = np.einsum("ia,jb,kc,abc->ijk", u1, u2, u3, state.amplitudes, optimize=True)
+    path = _lu_path(state.dims)
+    out = np.einsum("ia,jb,kc,abc->ijk", *factors, state.amplitudes, optimize=path)
     return TripartiteState.from_unnormalized(out)
 
 

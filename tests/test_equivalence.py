@@ -1267,32 +1267,22 @@ def test_phase_solver_matches_flood_fill(dims, kind, seed):
 
 
 def _solve_both_ways(chi, weight):
-    """The phase solve from the read, checked bit for bit against the sweeps alone.
+    """The phase read, checked bit for bit against the sweeps.
 
     Wherever :func:`_phase_read` gives phases, they are the sweeps' phases,
-    consistent or not; the solve given them as its start returns that start
-    itself exactly when no significant entry misses their product, and
-    otherwise the sweeps' phases and cycle.  Returns the solve's phases, its
-    cycle and whether it returned the start.
+    consistent or not.  Returns the sweeps' phases, their cycle and whether
+    the read gave phases that every significant entry's product holds.
     """
     read = equivalence._phase_read(chi.__getitem__, weight)
-    swept, swept_cycle = equivalence._solve_phase_product(chi, weight)
-    phases, cycle = equivalence._solve_phase_product(chi, weight, read)
+    phases, cycle = equivalence._solve_phase_product(chi, weight)
     holds = False
     if read is not None:
-        for got, want in zip(read, swept):
+        for got, want in zip(read, phases):
             assert got.tobytes() == want.tobytes()
         beta, phi, psi = read
         miss = np.abs(chi - beta[:, None, None] * phi[:, None] * psi)
         significant = weight > equivalence._PHASE_CUTOFF * weight.max()
         holds = not np.any(significant & (miss > equivalence._PHASE_TOL))
-    assert (phases is read) is holds
-    for got, want in zip(phases, swept):
-        assert got.tobytes() == want.tobytes()
-    assert (cycle is None) == (swept_cycle is None)
-    if cycle is not None:
-        for got, want in zip(cycle, swept_cycle):
-            np.testing.assert_array_equal(got, want)
     return phases, cycle, holds
 
 
@@ -1308,9 +1298,8 @@ def _solve_both_ways(chi, weight):
 @example(dims=(12, 1, 3), log_noise=None, seed=0)
 def test_phase_read_gives_the_sweeps_bits(dims, log_noise, seed):
     # Generic frames of LU pairs, with noise up to the reconstruction
-    # tolerance: where the read gives phases, they are those of the sweeps;
-    # where they hold on every entry the solve returns them, and where they
-    # do not, the sweeps run.
+    # tolerance: where the read gives phases, they are those of the sweeps,
+    # whether they hold on every entry or not.
     state, rotated, _ = _lu_pair(dims, seed)
     if log_noise is not None:
         rotated = _with_noise(rotated, 10.0**log_noise, np.random.default_rng(seed))

@@ -218,6 +218,21 @@ class TestApplyLocalUnitaries:
             out = apply_local_unitaries(state, u, np.eye(3), np.eye(4))
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "dims",
+        [(2, 2, 2), (3, 3, 3), (8, 8, 8), (12, 12, 12), (4, 8, 16), (3, 5, 7), (2, 48, 48)],
+    )
+    def test_cached_path_gives_the_greedy_searchs_bits(self, dims):
+        # The path is searched once per dims; each call gets the bits of
+        # numpy's search on its own operands (the last three shapes take
+        # other paths than the cubes).
+        for trial in range(5):
+            state = random_state(dims, seed=500 + trial)
+            u = [random_unitary(d, seed=600 + 3 * trial + i) for i, d in enumerate(dims)]
+            out = np.einsum("ia,jb,kc,abc->ijk", *u, state.amplitudes, optimize=True)
+            want = TripartiteState.from_unnormalized(out).amplitudes
+            assert apply_local_unitaries(state, *u).amplitudes.tobytes() == want.tobytes()
+
     def test_golden_223_printed_map(self):
         from util import golden_bridge_223
         from triequiv.realign import is_unitarily_decomposable
